@@ -87,6 +87,5 @@ from .dynamics import (
     trajectory_to_csv,
     uv_momenta,
 )
-from .backend import backend_name
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,35 +1,9 @@
-"""Kernel backend selection: numba-compiled hot loops with a pure-numpy fallback.
-
-Set NCPHASE_DISABLE_NUMBA=1 to force the numpy path.  Both paths run the
-same code, so results are bitwise identical; only the speed differs.
-"""
-import os
-
+"""Array kernels: the RK4 step loop and the 3D consistency residual with
+its exact Jacobian."""
 import numpy as np
 
-_DISABLE = os.environ.get("NCPHASE_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
 
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled by NCPHASE_DISABLE_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        # identity decorator, tolerant of both @njit and @njit(...) forms
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-def _rk4_core(gen, drift, z0, dt, steps):
+def rk4_trajectory(gen, drift, z0, dt, steps):
     # classical RK4 on the affine system dz/dt = gen @ z + drift
     n = z0.shape[0]
     out = np.empty((steps + 1, n))
@@ -45,54 +19,52 @@ def _rk4_core(gen, drift, z0, dt, steps):
     return out
 
 
-def _residual3d_core(x):
-    # x packs (f_tx, f_ty, f_tz, f_t1, f_t2, f_t3,
-    #          f_ex, f_ey, f_ez, f_e1, f_e2, f_e3,
-    #          t1, t2, t3, e1, e2, e3)
-    F = np.empty((3, 3))
-    F[0, 0] = x[0]
-    F[0, 1] = x[3] - x[12]
-    F[0, 2] = x[4] - x[13]
-    F[1, 0] = x[3] + x[12]
-    F[1, 1] = x[1]
-    F[1, 2] = x[5] - x[14]
-    F[2, 0] = x[4] + x[13]
-    F[2, 1] = x[5] + x[14]
-    F[2, 2] = x[2]
-    G = np.empty((3, 3))
-    G[0, 0] = x[6]
-    G[0, 1] = x[9] - x[15]
-    G[0, 2] = x[10] - x[16]
-    G[1, 0] = x[9] + x[15]
-    G[1, 1] = x[7]
-    G[1, 2] = x[11] - x[17]
-    G[2, 0] = x[10] + x[16]
-    G[2, 1] = x[11] + x[17]
-    G[2, 2] = x[8]
-    r = np.empty(9)
-    for i in range(3):
-        for j in range(3):
-            s = 0.0
-            for k in range(3):
-                s += F[i, k] * G[k, j]
-            r[3 * i + j] = s
-    return r
+def _block_map():
+    # m[i] = (dF/dx_i, dG/dx_i) for F = f_theta - theta and
+    # G = f_eta - eta over the packed 18-vector
+    #   (f_tx, f_ty, f_tz, f_t1, f_t2, f_t3,
+    #    f_ex, f_ey, f_ez, f_e1, f_e2, f_e3,
+    #    t1, t2, t3, e1, e2, e3).
+    # F and G are linear in x, so (F, G) = x @ m.
+    m = np.zeros((18, 2, 3, 3))
+    for s in (0, 1):
+        sym, anti = 6 * s, 12 + 3 * s
+        for k in range(3):
+            m[sym + k, s, k, k] = 1.0
+        for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+            m[sym + 3 + k, s, i, j] = m[sym + 3 + k, s, j, i] = 1.0
+            m[anti + k, s, i, j] = -1.0
+            m[anti + k, s, j, i] = 1.0
+    return m
 
 
-rk4_trajectory_numpy = _rk4_core
-residual3d_numpy = _residual3d_core
-
-if HAS_NUMBA:
-    rk4_trajectory_numba = njit(cache=True)(_rk4_core)
-    residual3d_numba = njit(cache=True)(_residual3d_core)
-    rk4_trajectory = rk4_trajectory_numba
-    residual3d = residual3d_numba
-else:
-    rk4_trajectory_numba = None
-    residual3d_numba = None
-    rk4_trajectory = rk4_trajectory_numpy
-    residual3d = residual3d_numpy
+_BLOCKS = _block_map()
+_BLOCKS_FLAT = _BLOCKS.reshape(18, 18)
+_DF = _BLOCKS[:, 0]
+_DG = _BLOCKS[:, 1]
 
 
-def backend_name():
-    return "numba" if HAS_NUMBA else "numpy"
+def _blocks(x):
+    x = np.asarray(x, dtype=float)
+    b = (x @ _BLOCKS_FLAT).reshape(x.shape[:-1] + (2, 3, 3))
+    return b[..., 0, :, :], b[..., 1, :, :]
+
+
+def residual3d(x):
+    """(f_theta - theta)(f_eta - eta), row-major, for an (18,) or (N, 18)
+    packed vector; returns shape (9,) or (N, 9)."""
+    F, G = _blocks(x)
+    return (F @ G).reshape(F.shape[:-2] + (9,))
+
+
+def jacobian3d(x):
+    """Exact Jacobian of residual3d and the residual itself.
+
+    The residual F G is affine in every single unknown, so column i is
+    dF/dx_i G + F dG/dx_i.  Returns (J, r) with J of shape (9, 18) and
+    r of shape (9,) for one packed vector, (N, 9, 18) and (N, 9) for N.
+    """
+    F, G = _blocks(x)
+    F1, G1 = F[..., None, :, :], G[..., None, :, :]
+    cols = (_DF @ G1 + F1 @ _DG).reshape(F.shape[:-2] + (18, 9))
+    return np.swapaxes(cols, -1, -2), (F @ G).reshape(F.shape[:-2] + (9,))

@@ -16,9 +16,9 @@ from .algebra import map_from_json, params_from_json, verify_deformation
 from .nc2d import (SingularBranchError, complete_2d, complete_2d_imaginary, params2d_to_json)
 from .nc3d import (generate_feasible_3d, params3d_from_json, params3d_to_json, residual_3d,
                    solve_3d)
-from .dynamics import (ClosedFormCoeffs, DegenerateFieldError, FieldConfig, NonMatchableError,
-                       equivalence_check, field_to_deformation, simulate_matched,
-                       trajectory_to_csv)
+from .dynamics import (DEFAULT_STEPS, ClosedFormCoeffs, DegenerateFieldError, FieldConfig,
+                       NonMatchableError, equivalence_check, field_to_deformation,
+                       simulate_matched, trajectory_to_csv)
 
 EXITS = {"pass": 0, "fail": 1, "error": 2}
 
@@ -170,13 +170,23 @@ def _load_scenario(path):
     return field, coeffs, params, doc.get("dt"), doc.get("steps")
 
 
+def _step_count(steps):
+    # None selects the default; an explicit count must be at least 1
+    if steps is None:
+        return DEFAULT_STEPS
+    steps = int(steps)
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    return steps
+
+
 def _run_simulate(args):
     field, coeffs, params, dt, steps = _load_scenario(args["scenario"])
     if args.get("dt") is not None:
         dt = args["dt"]
     if args.get("steps") is not None:
         steps = args["steps"]
-    steps = int(steps) if steps else 4096
+    steps = _step_count(steps)
     try:
         traj, match = simulate_matched(
             field, coeffs,
@@ -209,7 +219,7 @@ def _run_equivalence(args):
             hbar=params.get("hbar", 1.0),
             f_theta=params.get("f_theta", 0.0),
             theta=params.get("theta", 0.0),
-            dt=dt, steps=int(steps) if steps else 4096,
+            dt=dt, steps=_step_count(steps),
             eta_scale=args.get("eta_scale", 1.0),
         )
     except (NonMatchableError, DegenerateFieldError) as err:

@@ -13,6 +13,7 @@ x, y, z then off-diagonal 1 = (1,2), 2 = (1,3), 3 = (2,3)).  The residual
 is the 3x3 product (f_theta - theta)(f_eta - eta), row-major.
 """
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,13 @@ class Params3D:
             v = tuple(float(x) for x in getattr(self, name))
             if len(v) != 3:
                 raise ValueError(f"{name} must have three components")
+            if not all(math.isfinite(x) for x in v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
             object.__setattr__(self, name, v)
+        hbar = float(self.hbar)
+        if not math.isfinite(hbar):
+            raise ValueError(f"hbar must be finite, got {hbar!r}")
+        object.__setattr__(self, "hbar", hbar)
 
 
 def pack(p):
@@ -355,25 +362,14 @@ class SolveResult:
     history: list = field(default_factory=list)
 
 
-FD_STEP = 1e-7
 MAX_HALVINGS = 30
 DAMPING_FLOOR = 1e-8
 DAMPING_CEIL = 1e4
 
 
-def _fd_jacobian(x, free):
-    r0 = backend.residual3d(x)
-    J = np.empty((9, free.size))
-    for k, i in enumerate(free):
-        h = FD_STEP * max(1.0, abs(x[i]))
-        xt = x.copy()
-        xt[i] += h
-        J[:, k] = (backend.residual3d(xt) - r0) / h
-    return J, r0
-
-
 def solve_3d(p0, frozen=None, tol=1e-10, max_iter=50, trace=False):
-    """Damped Newton iteration on the nine residual equations.
+    """Damped Newton iteration on the nine residual equations, with the
+    exact Jacobian from backend.jacobian3d.
 
     Frozen unknowns are held at their p0 values.  Steps come from the
     normal equations with a Levenberg damping ladder for singular
@@ -390,11 +386,12 @@ def solve_3d(p0, frozen=None, tol=1e-10, max_iter=50, trace=False):
     history = [(0, rnorm)] if trace else []
 
     def result(converged, iterations, message=""):
+        r = backend.residual3d(x)
         return SolveResult(
             params=unpack(x, p0.hbar),
             converged=converged,
-            residual_max=float(np.abs(backend.residual3d(x)).max()),
-            residual_norm=float(np.linalg.norm(backend.residual3d(x))),
+            residual_max=float(np.abs(r).max()),
+            residual_norm=float(np.linalg.norm(r)),
             iterations=iterations,
             message=message,
             history=history,
@@ -406,10 +403,13 @@ def solve_3d(p0, frozen=None, tol=1e-10, max_iter=50, trace=False):
         return result(False, 0, "all unknowns frozen; residual floor cannot move")
 
     for it in range(1, max_iter + 1):
-        J, r = _fd_jacobian(x, free)
+        J, r = backend.jacobian3d(x)
+        J = J[:, free]
         jnorm = float(np.linalg.norm(J))
         if jnorm == 0.0:
             return result(False, it - 1, "vanishing Jacobian; the frozen pattern may be infeasible")
+        if not math.isfinite(jnorm):
+            return result(False, it - 1, "non-finite Jacobian; the instance overflows")
         JtJ = J.T @ J
         Jtr = J.T @ r
         lam = 0.0
@@ -422,7 +422,7 @@ def solve_3d(p0, frozen=None, tol=1e-10, max_iter=50, trace=False):
             except np.linalg.LinAlgError:
                 pass
             lam = DAMPING_FLOOR * jnorm if lam == 0.0 else lam * 10.0
-            if lam > DAMPING_CEIL * jnorm:
+            if not math.isfinite(lam) or lam > DAMPING_CEIL * jnorm:
                 return result(
                     False, it - 1,
                     "damping ladder exhausted; the frozen pattern may be infeasible",

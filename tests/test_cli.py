@@ -11,8 +11,9 @@ from ncphase.algebra import DeformationParams, map_to_json, params_to_json, sw_m
 CLI = [sys.executable, "-m", "ncphase.cli"]
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, cwd=cwd)
+def run_cli(*args, cwd=None, timeout=None):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, cwd=cwd,
+                          timeout=timeout)
 
 
 @pytest.fixture
@@ -145,6 +146,41 @@ def test_simulate_deterministic(scenario, tmp_path):
                  "--steps", "512", "--json")
     assert r1.stdout == r2.stdout
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "equivalence"])
+def test_zero_steps_is_an_input_error(command, scenario, tmp_path):
+    # only a missing count selects the default; 0 from the scenario or the
+    # flag must not silently run 4096 steps
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(dict(json.loads(scenario.read_text()), steps=0)))
+    out = ["--out", str(tmp_path / "traj.csv")] if command == "simulate" else []
+    cases = [("--scenario", str(zero))]
+    if command == "simulate":
+        cases.append(("--scenario", str(scenario), "--steps", "0"))
+    for case in cases:
+        r = run_cli(command, *case, *out)
+        assert r.returncode == 2, r.stdout
+        assert "steps must be at least 1" in r.stdout
+
+
+@pytest.mark.parametrize("value, code", [("nan", 2), ("inf", 2), (1e300, 1)])
+def test_solve3d_non_finite_or_overflowing_input_terminates(value, code, tmp_path):
+    # non-finite input is rejected; a finite input whose residual overflows
+    # ends as a non-converged result instead of cycling the damping ladder
+    doc = json.loads(run_cli("gen3d", "--seed", "1", "--json").stdout)["payload"]
+    doc["theta"][0] = float(value)
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("solve3d", "--input", str(path), "--json", timeout=60)
+    assert r.returncode == code, r.stdout
+    assert "Traceback" not in r.stderr
+
+
+def test_gen3d_rejects_non_finite_hbar():
+    r = run_cli("gen3d", "--seed", "1", "--hbar", "nan", "--json")
+    assert r.returncode == 2
+    assert json.loads(r.stdout)["status"] == "error"
 
 
 def test_gen3d_deterministic_by_seed(tmp_path):

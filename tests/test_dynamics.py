@@ -284,13 +284,24 @@ def test_csv_without_nc_states():
     assert lines[1].endswith(",,,,")
 
 
-def test_rk4_backend_paths_agree_bitwise():
+def test_rk4_steps_are_one_affine_map():
+    # on dz/dt = K z + d every RK4 step is z -> P z + q with P the RK4
+    # stability polynomial of hK
     rng = np.random.default_rng(91)
     sym = rng.uniform(-1.0, 1.0, (4, 4)) * 0.3
     gen = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
     gen = gen @ (sym + sym.T)
     drift = rng.uniform(-0.5, 0.5, 4)
     z0 = rng.uniform(-1.0, 1.0, 4)
-    a = backend.rk4_trajectory_numpy(gen, drift, z0, 0.01, 100)
-    b = backend.rk4_trajectory(gen, drift, z0, 0.01, 100)
-    assert np.array_equal(a, b)
+    dt = 0.01
+    hk = dt * gen
+    eye = np.eye(4)
+    P = eye + hk + hk @ hk / 2 + hk @ hk @ hk / 6 + hk @ hk @ hk @ hk / 24
+    q = dt * (eye + hk / 2 + hk @ hk / 6 + hk @ hk @ hk / 24) @ drift
+    expected = [z0]
+    for _ in range(100):
+        expected.append(P @ expected[-1] + q)
+    expected = np.array(expected)
+    loop = backend.rk4_trajectory(gen, drift, z0, dt, 100)
+    assert loop.shape == expected.shape
+    assert np.abs(loop - expected).max() <= 1e-13 * np.abs(expected).max()

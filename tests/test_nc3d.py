@@ -168,25 +168,68 @@ def test_solver_infeasible_frozen_pattern():
 
 def test_jacobian_rank_at_feasible_points():
     # 9 equations, 18 unknowns, measured rank 7: an 11-dimensional surface
-    for seed in range(10):
-        x0 = pack(generate_feasible_3d(seed))
+    xs = np.array([pack(generate_feasible_3d(seed)) for seed in range(10)])
+    batched, _ = backend.jacobian3d(xs)
+    for x0, exact_row in zip(xs, batched):
         J = np.empty((9, 18))
         for j in range(18):
             xp, xm = x0.copy(), x0.copy()
             xp[j] += 1e-6
             xm[j] -= 1e-6
             J[:, j] = (residual_3d(unpack(xp)) - residual_3d(unpack(xm))) / 2e-6
-        s = np.linalg.svd(J, compute_uv=False)
-        assert int((s > 1e-7 * s[0]).sum()) == 7
+        exact, r = backend.jacobian3d(x0)
+        assert np.abs(exact - J).max() <= 1e-7 * np.abs(exact).max()
+        assert np.array_equal(exact_row, exact)
+        assert np.array_equal(r, backend.residual3d(x0))
+        for jac in (J, exact):
+            s = np.linalg.svd(jac, compute_uv=False)
+            assert int((s > 1e-7 * s[0]).sum()) == 7
 
 
-def test_backend_paths_agree_bitwise():
-    rng = np.random.default_rng(55)
-    for _ in range(20):
-        x = rng.uniform(-3.0, 3.0, 18)
-        a = backend.residual3d_numpy(x)
-        b = backend.residual3d(x)
-        assert np.array_equal(a, b)
+def residual_oracle(x):
+    # per-entry reference: build both blocks element by element, then a
+    # scalar triple loop for the product
+    F = np.empty((3, 3))
+    F[0, 0] = x[0]
+    F[0, 1] = x[3] - x[12]
+    F[0, 2] = x[4] - x[13]
+    F[1, 0] = x[3] + x[12]
+    F[1, 1] = x[1]
+    F[1, 2] = x[5] - x[14]
+    F[2, 0] = x[4] + x[13]
+    F[2, 1] = x[5] + x[14]
+    F[2, 2] = x[2]
+    G = np.empty((3, 3))
+    G[0, 0] = x[6]
+    G[0, 1] = x[9] - x[15]
+    G[0, 2] = x[10] - x[16]
+    G[1, 0] = x[9] + x[15]
+    G[1, 1] = x[7]
+    G[1, 2] = x[11] - x[17]
+    G[2, 0] = x[10] + x[16]
+    G[2, 1] = x[11] + x[17]
+    G[2, 2] = x[8]
+    r = np.empty(9)
+    for i in range(3):
+        for j in range(3):
+            s = 0.0
+            for k in range(3):
+                s += F[i, k] * G[k, j]
+            r[3 * i + j] = s
+    return r
+
+
+@pytest.mark.parametrize("n", [1, 1000])
+def test_batched_residual_matches_oracle(n):
+    # the batched product may sum in another order than the loop, so the
+    # bound is a few ulps of the largest possible entry, 12 max|x|^2
+    rng = np.random.default_rng(55 + n)
+    xs = rng.uniform(-3.0, 3.0, (n, 18))
+    batched = backend.residual3d(xs)
+    assert batched.shape == (n, 9)
+    for x, row in zip(xs, batched):
+        assert np.abs(row - residual_oracle(x)).max() <= 1e-14 * np.abs(x).max() ** 2
+        assert np.array_equal(backend.residual3d(x), row)
 
 
 def test_json_roundtrip():
