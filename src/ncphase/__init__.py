@@ -56,6 +56,7 @@ from .nc3d import (
     generate_feasible_3d,
     pack,
     params3d_from_json,
+    params3d_to_doc,
     params3d_to_json,
     residual_3d,
     residual_3d_from_aux,

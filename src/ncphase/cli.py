@@ -2,20 +2,22 @@
 
 Every subcommand prints a run report (human-readable by default, one
 JSON document with --json) and exits 0 on pass, 1 on a tolerance
-failure, 2 on usage or input errors.  Identical inputs produce
-byte-identical output; randomness enters only through --seed.
+failure, 2 on usage or input errors.  Every JSON it writes is strict:
+a non-finite metric reads null.  Identical inputs produce byte-identical
+output; randomness enters only through --seed.
 """
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .algebra import map_from_json, params_from_json, verify_deformation
-from .nc2d import (SingularBranchError, complete_2d, complete_2d_imaginary, params2d_to_json)
-from .nc3d import (generate_feasible_3d, params3d_from_json, params3d_to_json, residual_3d,
-                   solve_3d)
+from .nc2d import (SingularBranchError, complete_2d, complete_2d_imaginary, params2d_to_json,
+                   residual_2d)
+from .nc3d import generate_feasible_3d, params3d_from_json, params3d_to_doc, residual_3d, solve_3d
 from .dynamics import (DEFAULT_STEPS, ClosedFormCoeffs, DegenerateFieldError, FieldConfig,
                        NonMatchableError, equivalence_check, field_to_deformation,
                        simulate_matched, trajectory_to_csv)
@@ -29,26 +31,36 @@ MATCH_PAIRING_NOTE = (
 )
 
 
+def _finite_or_none(v):
+    # strict JSON has no NaN or Infinity; a non-finite number is reported as null
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _report(command, status, metrics=None, payload=None, notes=None):
     return {
         "command": command,
         "status": status,
-        "metrics": metrics or {},
+        "metrics": {k: _finite_or_none(v) for k, v in (metrics or {}).items()},
         "payload": payload or {},
         "errata_notes": list(notes or []),
     }
 
 
+def _dumps(doc):
+    """Strict JSON: raises ValueError on NaN or Infinity."""
+    return json.dumps(doc, sort_keys=True, allow_nan=False)
+
+
 def _render(report, as_json):
     if as_json:
-        return json.dumps(report, sort_keys=True)
+        return _dumps(report)
     lines = [f"command: {report['command']}", f"status: {report['status']}"]
     for k in sorted(report["metrics"]):
         lines.append(f"{k} = {report['metrics'][k]!r}")
     for note in report["errata_notes"]:
         lines.append(f"note: {note}")
     if report["payload"]:
-        lines.append(json.dumps(report["payload"], sort_keys=True))
+        lines.append(_dumps(report["payload"]))
     return "\n".join(lines)
 
 
@@ -90,8 +102,6 @@ def _run_solve2d(args):
                             args["f_theta_x"], args.get("hbar", 1.0))
     except SingularBranchError as err:
         return _report("solve2d", "error", notes=[f"SingularBranch: {err.kind.value}"])
-    from .nc2d import residual_2d
-
     payload = json.loads(params2d_to_json(p))
     metrics = {"residual_max": float(np.abs(residual_2d(p)).max())}
     return _report("solve2d", "pass", metrics, payload)
@@ -100,11 +110,11 @@ def _run_solve2d(args):
 def _run_gen3d(args):
     p = generate_feasible_3d(args["seed"], args.get("hbar", 1.0),
                              force_zero_c=args.get("force_zero_c", False))
-    payload = json.loads(params3d_to_json(p))
+    payload = params3d_to_doc(p)
     metrics = {"residual_max": float(np.abs(residual_3d(p)).max())}
     if args.get("out"):
         with open(args["out"], "w") as fh:
-            fh.write(params3d_to_json(p) + "\n")
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
     return _report("gen3d", "pass", metrics, payload)
 
 
@@ -116,7 +126,10 @@ def _run_solve3d(args):
         frozen = [tok for tok in args["frozen"].split(",") if tok.strip()]
     res = solve_3d(p0, frozen=frozen, tol=args.get("tol", 1e-10),
                    max_iter=args.get("max_iter", 50), trace=args.get("trace", False))
-    payload = json.loads(params3d_to_json(res.params))
+    payload = params3d_to_doc(res.params)
+    if args.get("out"):  # the file carries the parameters only, never the trace
+        with open(args["out"], "w") as fh:
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
     metrics = {
         "residual_max": res.residual_max,
         "residual_norm": res.residual_norm,
@@ -124,10 +137,7 @@ def _run_solve3d(args):
     }
     notes = [res.message] if res.message else []
     if args.get("trace"):
-        payload["history"] = [[it, norm] for it, norm in res.history]
-    if args.get("out"):
-        with open(args["out"], "w") as fh:
-            fh.write(params3d_to_json(res.params) + "\n")
+        payload["history"] = [[it, _finite_or_none(norm)] for it, norm in res.history]
     return _report("solve3d", "pass" if res.converged else "fail", metrics, payload, notes)
 
 
@@ -263,6 +273,7 @@ def _run_sweep(args):
         return _report("sweep", "error", notes=[f"grid of {total} points exceeds the 1e6 cap"])
 
     base = dict(cfg.get("base", {}))
+    finite = all(math.isfinite(v) for ax in axes for v in ax)
     rows = []
     idx = [0] * len(axes)
     for _ in range(total):
@@ -273,7 +284,7 @@ def _run_sweep(args):
             row = _SWEEP_TASKS[task](call)
         except Exception as err:  # singular points become error rows, sweep continues
             row = _report(task, "error", notes=[f"{type(err).__name__}: {err}"])
-        row["point"] = point
+        row["point"] = point if finite else {k: _finite_or_none(v) for k, v in point.items()}
         rows.append(row)
         for k in reversed(range(len(axes))):
             idx[k] += 1
@@ -286,7 +297,7 @@ def _run_sweep(args):
     report = _report("sweep", status, {"points": total}, {"rows": rows})
     if args.get("out"):
         with open(args["out"], "w") as fh:
-            fh.write(json.dumps(report, sort_keys=True) + "\n")
+            fh.write(_dumps(report) + "\n")
     return report
 
 
@@ -372,15 +383,20 @@ _HANDLERS = {
 }
 
 
+# built once per process: every run() in one interpreter reuses it
+_PARSER = _build_parser()
+
+
 def run(argv=None):
-    ap = _build_parser()
-    ns = ap.parse_args(argv)
+    ns = _PARSER.parse_args(argv)
     args = {k: v for k, v in vars(ns).items() if k not in ("command", "as_json")}
     try:
         report = _HANDLERS[ns.command](args)
+        text = _render(report, ns.as_json)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as err:
         report = _report(ns.command, "error", notes=[f"{type(err).__name__}: {err}"])
-    print(_render(report, ns.as_json))
+        text = _render(report, ns.as_json)
+    print(text)
     return EXITS[report["status"]]
 
 

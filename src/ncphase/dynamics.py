@@ -17,7 +17,7 @@ dz/dt = (1/hbar) * Omega * S * z with Omega = [[theta, hbar I],
 [-hbar I, eta]], and the time-dependent parameter laws live here too.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,6 +53,12 @@ class FieldConfig:
     e: float = 1.0
     c: float = 1.0
     m_p: float = 1.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
 
     @property
     def b_z(self):
@@ -152,8 +158,11 @@ def field_to_deformation(field, f_theta, hbar=1.0, theta=0.0):
 
     Fails with NonMatchableError when the gauge rows are not
     proportional and with DegenerateFieldError when beta_x or alpha_y
-    vanishes (unless the whole gauge is zero, which matches trivially).
+    vanishes (unless the whole gauge is zero, which matches trivially),
+    and with ValueError on a non-finite argument or an overflowing match.
     """
+    if not all(map(math.isfinite, (f_theta, hbar, theta))):
+        raise ValueError(f"f_theta, hbar and theta must be finite, got {(f_theta, hbar, theta)!r}")
     k = field.e / field.c
     if field.is_zero():
         eta = 0.0
@@ -195,6 +204,8 @@ def field_to_deformation(field, f_theta, hbar=1.0, theta=0.0):
             ("theta", "eta", "f_theta", "f_eta", "f_theta_x", "f_theta_y", "f_eta_x", "f_eta_y")]
     scale = max(1.0, max(vals) ** 2)
     worst = float(np.abs(residual_2d(p)).max())
+    if not math.isfinite(worst):
+        raise ValueError("the matched parameters overflow")
     if worst > MATCH_RESIDUAL_TOL * scale:
         raise RuntimeError(f"matched parameters violate the consistency product: {worst:.3e}")
 
@@ -364,7 +375,10 @@ def simulate_matched(field, coeffs, hbar=1.0, f_theta=0.0, theta=0.0, dt=None, s
     Returns (Trajectory with both column sets, MatchResult).  The
     commutative branch runs the minimally coupled Hamiltonian under
     canonical brackets; the deformed branch runs the free Hamiltonian
-    under (theta, eta) brackets from the matched initial state.
+    under (theta, eta) brackets from the matched initial state.  A
+    null ``dt`` means period / DEFAULT_STEPS (1 / DEFAULT_STEPS when
+    b_z = 0) whatever ``steps`` is, so ``steps`` steps cover
+    steps / DEFAULT_STEPS of a period.
     """
     match = field_to_deformation(field, f_theta, hbar, theta)
     if dt is None:
@@ -411,10 +425,13 @@ def equivalence_check(field, coeffs, n_samples=64, tol=1e-8, hbar=1.0, f_theta=0
                       theta=0.0, dt=None, steps=DEFAULT_STEPS, eta_scale=1.0):
     """Cross-check the three routes to the deformed momenta.
 
-    Checks, over one period: the closed-form identity
+    Checks, over the simulated span: the closed-form identity
     phat = m_p * (orbit velocity); the integrated deformed branch
     against the closed form; and the extracted rotation frequency
-    against |eta| / (m_p hbar) and |e b_z / (c m_p)|.
+    against |eta| / (m_p hbar) and |e b_z / (c m_p)|.  A null ``dt``
+    means period / DEFAULT_STEPS whatever ``steps`` is, as in
+    simulate_matched, so the span is one period only at the default
+    step count.
     """
     traj, match = simulate_matched(field, coeffs, hbar, f_theta, theta, dt, steps, eta_scale)
     notes = []

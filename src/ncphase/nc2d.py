@@ -10,7 +10,9 @@ correction entries and f_e* the momentum-sector ones.  Given the scalars
 (theta, eta, f_theta, f_eta) and one diagonal pivot, the remaining three
 entries follow in closed form; the four product entries are the residual.
 """
+import cmath
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,6 +62,24 @@ def _as_scalar(v):
     return v
 
 
+_INPUT_NAMES = ("theta", "eta", "f_theta", "f_eta", "f_theta_x", "f_theta_y", "hbar")
+
+
+def _check_finite(values):
+    # non-finite input is an input error, never a completion; None is an absent pivot
+    for name, v in zip(_INPUT_NAMES, values):
+        if v is not None and not cmath.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+
+
+def _square(x):
+    # a float ** raises OverflowError where a product would give inf
+    try:
+        return x**2
+    except OverflowError:
+        raise ValueError("the completion overflows") from None
+
+
 def singular_tolerance(theta, f_theta):
     """Default absolute tolerance for singular-class detection."""
     return 1e-10 * max(abs(theta), abs(f_theta), 1.0)
@@ -99,10 +119,13 @@ def complete_2d(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, tol=None, 
     f_eta_x is also computed through the mirror route
     -((f_eta + eta)/(f_theta + theta)) * f_theta_y and the two values
     must agree to 1e-12 relative.  The y pivot derives the mirrored
-    formulas.  Non-regular draws raise SingularBranchError.
+    formulas.  Non-regular draws raise SingularBranchError; non-finite
+    arguments, and finite ones whose completion overflows, raise
+    ValueError.
     """
     if (f_theta_x is None) == (f_theta_y is None):
         raise ValueError("exactly one of f_theta_x, f_theta_y must be given")
+    _check_finite((theta, eta, f_theta, f_eta, f_theta_x, f_theta_y, hbar))
     pivot = f_theta_x if f_theta_x is not None else f_theta_y
     kind = classify_singular(theta, eta, f_theta, f_eta, pivot, tol)
     if kind is not SingularKind.REGULAR:
@@ -111,13 +134,13 @@ def complete_2d(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, tol=None, 
     minus = f_theta - theta
     plus = f_theta + theta
     if f_theta_x is not None:
-        f_theta_y = (f_theta**2 - theta**2) / f_theta_x
+        f_theta_y = (_square(f_theta) - _square(theta)) / f_theta_x
         f_eta_y = -((f_eta - eta) / minus) * f_theta_x
         route_a = -((f_eta + eta) / plus) * f_theta_y
         route_b = -minus * (f_eta + eta) / f_theta_x
         f_eta_x = route_b
     else:
-        f_theta_x = (f_theta**2 - theta**2) / f_theta_y
+        f_theta_x = (_square(f_theta) - _square(theta)) / f_theta_y
         f_eta_x = -((f_eta + eta) / plus) * f_theta_y
         route_a = -((f_eta - eta) / minus) * f_theta_x
         route_b = -plus * (f_eta - eta) / f_theta_y
@@ -139,6 +162,8 @@ def complete_2d(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, tol=None, 
     )
     scale = max(1.0, _residual_scale(p))
     worst = float(np.abs(residual_2d(p)).max())
+    if not math.isfinite(worst):  # every entry enters the residual
+        raise ValueError("the completion overflows")
     if worst > RESIDUAL_TOL * scale:
         raise RuntimeError(f"completion residual {worst:.3e} exceeds tolerance")
     return p
@@ -153,8 +178,10 @@ def complete_2d_imaginary(theta, eta, f_theta, f_eta, f_theta_x, hbar=1.0, tol=N
         f_theta_y = (f_theta * conj(f_theta) - theta^2) / f_theta_x,
 
     and the off-diagonal momentum-sector entries keep the closed forms
-    evaluated over the complex numbers.
+    evaluated over the complex numbers.  Non-finite arguments and an
+    overflowing completion raise ValueError.
     """
+    _check_finite((theta, eta, f_theta, f_eta, f_theta_x, None, hbar))
     f_theta = complex(f_theta)
     if f_theta.imag == 0.0:
         return complete_2d(theta, eta, f_theta.real, f_eta, f_theta_x, hbar, tol)
@@ -164,9 +191,11 @@ def complete_2d_imaginary(theta, eta, f_theta, f_eta, f_theta_x, hbar=1.0, tol=N
         raise SingularBranchError(kind)
 
     minus = f_theta - theta
-    f_theta_y = (f_theta * f_theta.conjugate() - theta**2).real / f_theta_x
+    f_theta_y = (f_theta * f_theta.conjugate() - _square(theta)).real / f_theta_x
     f_eta_y = -((f_eta - eta) / minus) * f_theta_x
     f_eta_x = -minus * (f_eta + eta) / f_theta_x
+    if not all(map(cmath.isfinite, (f_theta_y, f_eta_x, f_eta_y))):
+        raise ValueError("the completion overflows")
     return Params2D(
         theta=float(theta),
         eta=float(eta),

@@ -451,8 +451,9 @@ def solve_3d(p0, frozen=None, tol=1e-10, max_iter=50, trace=False):
     return result(False, max_iter, "iteration limit reached")
 
 
-def params3d_to_json(p):
-    doc = {
+def params3d_to_doc(p):
+    """The JSON document of ``p`` as a dict of lists and floats."""
+    return {
         "theta": list(p.theta),
         "eta": list(p.eta),
         "f_theta_diag": list(p.f_theta_diag),
@@ -461,7 +462,10 @@ def params3d_to_json(p):
         "f_eta_off": list(p.f_eta_off),
         "hbar": p.hbar,
     }
-    return json.dumps(doc, sort_keys=True)
+
+
+def params3d_to_json(p):
+    return json.dumps(params3d_to_doc(p), sort_keys=True)
 
 
 def params3d_from_json(text):

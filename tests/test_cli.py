@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from ncphase import cli
 from ncphase.algebra import DeformationParams, map_to_json, params_to_json, sw_map
+from ncphase.dynamics import FieldConfig, period
 
 CLI = [sys.executable, "-m", "ncphase.cli"]
 
@@ -14,6 +16,15 @@ CLI = [sys.executable, "-m", "ncphase.cli"]
 def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, cwd=cwd,
                           timeout=timeout)
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def strict_loads(text):
+    """json.loads that refuses the NaN / Infinity / -Infinity extensions."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 @pytest.fixture
@@ -148,6 +159,17 @@ def test_simulate_deterministic(scenario, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_simulate_default_dt_is_period_over_4096(scenario, tmp_path):
+    # a null dt is T/4096 whatever the step count, so 512 steps cover T/8
+    r = run_cli("simulate", "--scenario", str(scenario), "--out", str(tmp_path / "traj.csv"),
+                "--steps", "512", "--json")
+    assert r.returncode == 0, r.stdout
+    field = FieldConfig(**json.loads(scenario.read_text())["field"])
+    metrics = strict_loads(r.stdout)["metrics"]
+    assert metrics["steps"] == 512
+    assert metrics["dt"] == period(field) / 4096
+
+
 @pytest.mark.parametrize("command", ["simulate", "equivalence"])
 def test_zero_steps_is_an_input_error(command, scenario, tmp_path):
     # only a missing count selects the default; 0 from the scenario or the
@@ -175,6 +197,36 @@ def test_solve3d_non_finite_or_overflowing_input_terminates(value, code, tmp_pat
     r = run_cli("solve3d", "--input", str(path), "--json", timeout=60)
     assert r.returncode == code, r.stdout
     assert "Traceback" not in r.stderr
+    doc = strict_loads(r.stdout)
+    assert doc["status"] == ("error" if code == 2 else "fail")
+    if code == 1:  # the overflow is reported as null, with the solver's note
+        assert doc["metrics"]["residual_norm"] is None
+        assert "overflows" in doc["errata_notes"][0]
+
+
+@pytest.mark.parametrize("theta, f_theta_x", [
+    ("nan", "3"), ("inf", "3"), ("-inf", "3"), ("1", "nan"),
+    ("1e200", "3e200"),  # finite, but the completion overflows
+])
+def test_solve2d_non_finite_or_overflowing_input_is_an_error(theta, f_theta_x):
+    r = run_cli("solve2d", f"--theta={theta}", "--eta", "3e200", "--f-theta", "2e200",
+                "--f-eta", "4e200", "--f-theta-x", f_theta_x, "--json")
+    assert r.returncode == 2, r.stdout
+    assert "Traceback" not in r.stderr
+    doc = strict_loads(r.stdout)
+    assert doc["status"] == "error"
+    assert "ValueError" in doc["errata_notes"][0]
+
+
+@pytest.mark.parametrize("flag", ["--alpha-x", "--beta-y", "--e", "--theta", "--hbar"])
+def test_match_field_non_finite_input_is_an_error(flag):
+    args = {"--alpha-x": "1", "--alpha-y": "2", "--beta-x": "1", "--beta-y": "2"}
+    args[flag] = "nan"
+    r = run_cli("match-field", *[tok for kv in args.items() for tok in kv], "--json")
+    assert r.returncode == 2, r.stdout
+    doc = strict_loads(r.stdout)
+    assert doc["status"] == "error"
+    assert "must be finite" in doc["errata_notes"][0]
 
 
 def test_gen3d_rejects_non_finite_hbar():
@@ -234,6 +286,22 @@ def test_sweep_singular_row_continues(tmp_path):
     assert rows[0]["point"] == {"f_theta": 1.0}
 
 
+def test_sweep_non_finite_literals_become_error_rows(tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text('{"task": "solve2d", '
+                   '"base": {"theta": 1.0, "eta": 2.0, "f_eta": 4.0, "f_theta_x": 3.0}, '
+                   '"grid": {"f_theta": [NaN, 2.0, Infinity]}}')
+    out = tmp_path / "rows.json"
+    r = run_cli("sweep", "--config", str(cfg), "--out", str(out), "--json")
+    assert r.returncode == 1, r.stdout  # the sweep completed with error rows
+    rows = strict_loads(r.stdout)["payload"]["rows"]
+    assert [row["status"] for row in rows] == ["error", "pass", "error"]
+    assert "must be finite" in rows[0]["errata_notes"][0]
+    assert [row["point"] for row in rows] == [{"f_theta": None}, {"f_theta": 2.0},
+                                              {"f_theta": None}]
+    assert strict_loads(out.read_text())["payload"]["rows"] == rows
+
+
 def test_sweep_eta_linearity(tmp_path):
     # charge sweep over a matched gauge: the momentum deformation and the
     # extracted rotation rate both scale linearly
@@ -273,3 +341,62 @@ def test_sweep_rejects_too_many_axes(tmp_path):
     }))
     r = run_cli("sweep", "--config", str(cfg))
     assert r.returncode == 2
+
+
+def test_out_files_are_the_payload_without_history(tmp_path):
+    # one dict per result: --out is its dump, taken before --trace adds history
+    gen = tmp_path / "gen.json"
+    r = run_cli("gen3d", "--seed", "7", "--out", str(gen), "--json")
+    assert r.returncode == 0
+    payload = strict_loads(r.stdout)["payload"]
+    assert gen.read_text() == json.dumps(payload, sort_keys=True) + "\n"
+
+    doc = json.loads(gen.read_text())
+    doc["f_eta_diag"] = [v + 1e-3 for v in doc["f_eta_diag"]]
+    gen.write_text(json.dumps(doc))
+    solved = tmp_path / "solved.json"
+    r = run_cli("solve3d", "--input", str(gen), "--frozen", "theta,eta", "--trace",
+                "--out", str(solved), "--json")
+    assert r.returncode == 0, r.stdout
+    payload = strict_loads(r.stdout)["payload"]
+    assert len(payload.pop("history")) >= 2
+    text = solved.read_text()
+    assert text == json.dumps(payload, sort_keys=True) + "\n"
+    assert "history" not in json.loads(text)
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    # run() parses with one module-level parser; a request must not see
+    # anything an earlier request in the same interpreter left behind
+    p3 = tmp_path / "p3.json"
+    p3.write_text(json.dumps(json.loads(run_cli("gen3d", "--seed", "3", "--json").stdout)["payload"]))
+    requests = [
+        ["gen3d", "--seed", "3", "--json"],
+        ["solve3d", "--input", str(p3)],
+        ["solve2d", "--theta", "1", "--no-such-flag", "2"],
+        ["solve2d", "--theta", "1", "--eta", "2", "--f-theta", "2", "--f-eta", "4",
+         "--f-theta-x", "3", "--json"],
+        ["match-field", "--alpha-x", "1", "--alpha-y", "2", "--beta-x", "1", "--beta-y", "2"],
+        ["gen3d", "--seed", "4"],  # the first gen3d's --json must not stick
+    ]
+    for argv in requests:
+        expected = run_cli(*argv)
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:  # argparse rejects argv
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == (
+            expected.stdout, expected.stderr, expected.returncode), argv
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_non_finite_payload_becomes_an_error_report(as_json, monkeypatch, capsys):
+    # a payload that is not strict JSON is an exit-2 error report, not a traceback
+    monkeypatch.setitem(cli._HANDLERS, "gen3d",
+                        lambda args: cli._report("gen3d", "pass", payload={"x": float("nan")}))
+    code = cli.run(["gen3d", "--seed", "1"] + (["--json"] if as_json else []))
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "status: error" in out or strict_loads(out)["status"] == "error"
+    assert "ValueError" in out

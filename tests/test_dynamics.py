@@ -305,3 +305,11 @@ def test_rk4_steps_are_one_affine_map():
     loop = backend.rk4_trajectory(gen, drift, z0, dt, 100)
     assert loop.shape == expected.shape
     assert np.abs(loop - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("name", ["alpha_x", "alpha_y", "beta_x", "beta_y", "e", "c", "m_p"])
+def test_field_config_rejects_non_finite(name):
+    kwargs = {"alpha_x": 1.0, "alpha_y": 2.0, "beta_x": 1.0, "beta_y": 2.0}
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FieldConfig(**dict(kwargs, **{name: bad}))

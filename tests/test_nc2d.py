@@ -176,3 +176,25 @@ def test_completion_property(theta, eta, f_theta, f_eta, f_theta_x):
                          (theta, eta, f_theta, f_eta, p.f_theta_x, p.f_theta_y,
                           p.f_eta_x, p.f_eta_y)) ** 2)
     assert np.abs(residual_2d(p)).max() <= RESIDUAL_TOL * scale
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("slot", range(5))
+def test_non_finite_arguments_raise_value_error(bad, slot):
+    args = [1.0, 2.0, 2.0, 4.0, 3.0]
+    args[slot] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        complete_2d(*args)
+    imag = [1.0, 2.0, 2.0 + 0.5j, 4.0, 3.0]
+    imag[slot] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        complete_2d_imaginary(*imag)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_completion_raises_value_error():
+    # finite arguments whose closed forms leave the float range
+    with pytest.raises(ValueError, match="overflows"):
+        complete_2d(1e200, 3e200, 2e200, 4e200, 3e200)
+    with pytest.raises(ValueError, match="overflows"):
+        complete_2d(1e150, 2e160, 2e150, 4e160, 1e141)  # f_eta_x overflows
