@@ -42,6 +42,7 @@ from .nc2d import (
     complete_2d_imaginary,
     maps_2d,
     params2d_from_json,
+    params2d_to_doc,
     params2d_to_json,
     residual_2d,
 )

@@ -71,6 +71,11 @@ def _frozen_array(a, shape=None):
     return out
 
 
+def _require_finite(m, name):
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must be finite")
+
+
 def _require_antisymmetric(m, name):
     if not np.array_equal(m, -m.T):
         raise NonAntisymmetricInputError(f"{name} must satisfy m = -m^T exactly")
@@ -83,7 +88,10 @@ def _require_symmetric(m, name):
 
 @dataclass(frozen=True)
 class DeformationParams:
-    """Deformation target: antisymmetric theta, eta and the scale hbar."""
+    """Deformation target: antisymmetric theta, eta and the scale hbar.
+
+    Non-finite entries or hbar raise ValueError.
+    """
 
     dim: int
     theta: np.ndarray
@@ -93,10 +101,12 @@ class DeformationParams:
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionMismatchError("dim must be >= 1")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.hbar < np.inf:
+            raise ValueError("hbar must be positive and finite")
         theta = _frozen_array(self.theta, (self.dim, self.dim))
         eta = _frozen_array(self.eta, (self.dim, self.dim))
+        _require_finite(theta, "theta")
+        _require_finite(eta, "eta")
         _require_antisymmetric(theta, "theta")
         _require_antisymmetric(eta, "eta")
         object.__setattr__(self, "theta", theta)
@@ -120,7 +130,10 @@ class DeformationParams:
 
 @dataclass(frozen=True)
 class PhaseSpaceMap:
-    """Block-linear map [[A, B], [C, D]] acting on (x, p)."""
+    """Block-linear map [[A, B], [C, D]] acting on (x, p).
+
+    Non-finite entries raise ValueError.
+    """
 
     dim: int
     A: np.ndarray
@@ -131,7 +144,9 @@ class PhaseSpaceMap:
     def __post_init__(self):
         shape = (self.dim, self.dim)
         for name in ("A", "B", "C", "D"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name), shape))
+            block = _frozen_array(getattr(self, name), shape)
+            _require_finite(block, name)
+            object.__setattr__(self, name, block)
 
     @property
     def matrix(self):
@@ -274,8 +289,6 @@ def scaled_spatial_map(theta, f, alpha, beta, hbar=1.0):
 def invert_map(m):
     """Inverse map; raises SingularMapError above the condition cutoff."""
     M = m.matrix
-    if not np.all(np.isfinite(M)):
-        raise SingularMapError("map contains non-finite entries")
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond >= COND_CUTOFF:
         raise SingularMapError(f"condition number {cond:.3e} exceeds cutoff {COND_CUTOFF:.0e}")

@@ -7,6 +7,7 @@ a non-finite metric reads null.  Identical inputs produce byte-identical
 output; randomness enters only through --seed.
 """
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import map_from_json, params_from_json, verify_deformation
-from .nc2d import (SingularBranchError, complete_2d, complete_2d_imaginary, params2d_to_json,
+from .nc2d import (SingularBranchError, complete_2d, complete_2d_imaginary, params2d_to_doc,
                    residual_2d)
 from .nc3d import generate_feasible_3d, params3d_from_json, params3d_to_doc, residual_3d, solve_3d
 from .dynamics import (DEFAULT_STEPS, ClosedFormCoeffs, DegenerateFieldError, FieldConfig,
@@ -73,7 +74,7 @@ def _run_check_map(args):
         m, hbar_map = map_from_json(fh.read())
     with open(args["theta"]) as fh:
         params = params_from_json(fh.read())
-    if abs(hbar_map - params.hbar) > 0.0:
+    if hbar_map != params.hbar:  # a NaN hbar is a mismatch too
         return _report("check-map", "error",
                        notes=[f"hbar mismatch: map {hbar_map!r} vs params {params.hbar!r}"])
     rep = verify_deformation(m, params, tol=args.get("tol", 1e-10))
@@ -102,7 +103,7 @@ def _run_solve2d(args):
                             args["f_theta_x"], args.get("hbar", 1.0))
     except SingularBranchError as err:
         return _report("solve2d", "error", notes=[f"SingularBranch: {err.kind.value}"])
-    payload = json.loads(params2d_to_json(p))
+    payload = params2d_to_doc(p)
     metrics = {"residual_max": float(np.abs(residual_2d(p)).max())}
     return _report("solve2d", "pass", metrics, payload)
 
@@ -158,7 +159,7 @@ def _run_match_field(args):
         "kx": match.kx,
         "ky": match.ky,
         "b_z": field.b_z,
-        "params2d": json.loads(params2d_to_json(match.params2d)),
+        "params2d": params2d_to_doc(match.params2d),
     }
     metrics = {
         "eta": match.eta,
@@ -266,18 +267,15 @@ def _run_sweep(args):
             axes.append(np.linspace(spec["start"], spec["stop"], int(spec["num"])).tolist())
         else:
             axes.append([float(v) for v in spec])
-    total = 1
-    for ax in axes:
-        total *= len(ax)
+    total = math.prod(map(len, axes))
     if total > SWEEP_MAX_POINTS:
         return _report("sweep", "error", notes=[f"grid of {total} points exceeds the 1e6 cap"])
 
     base = dict(cfg.get("base", {}))
     finite = all(math.isfinite(v) for ax in axes for v in ax)
     rows = []
-    idx = [0] * len(axes)
-    for _ in range(total):
-        point = {names[k]: axes[k][idx[k]] for k in range(len(axes))}
+    for values in itertools.product(*axes):  # the last axis varies fastest
+        point = dict(zip(names, values))
         call = dict(base)
         call.update(point)
         try:
@@ -286,18 +284,17 @@ def _run_sweep(args):
             row = _report(task, "error", notes=[f"{type(err).__name__}: {err}"])
         row["point"] = point if finite else {k: _finite_or_none(v) for k, v in point.items()}
         rows.append(row)
-        for k in reversed(range(len(axes))):
-            idx[k] += 1
-            if idx[k] < len(axes[k]):
-                break
-            idx[k] = 0
 
     statuses = {row["status"] for row in rows}
     status = "pass" if statuses == {"pass"} else "fail"
     report = _report("sweep", status, {"points": total}, {"rows": rows})
-    if args.get("out"):
-        with open(args["out"], "w") as fh:
-            fh.write(_dumps(report) + "\n")
+    if not args.get("out"):
+        return report
+    # the rows go to the file only; stdout carries the summary
+    with open(args["out"], "w") as fh:
+        fh.write(_dumps(report))
+        fh.write("\n")
+    report["payload"] = {}
     return report
 
 
@@ -393,7 +390,8 @@ def run(argv=None):
     try:
         report = _HANDLERS[ns.command](args)
         text = _render(report, ns.as_json)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as err:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError, RuntimeError,
+            ZeroDivisionError) as err:
         report = _report(ns.command, "error", notes=[f"{type(err).__name__}: {err}"])
         text = _render(report, ns.as_json)
     print(text)

@@ -69,9 +69,6 @@ class FieldConfig:
         """Cyclotron frequency -(e / (c m_p)) b_z."""
         return -(self.e / (self.c * self.m_p)) * self.b_z
 
-    def gauge_matrix(self):
-        return np.array([[self.alpha_x, self.beta_x], [self.alpha_y, self.beta_y]])
-
     def is_zero(self):
         return self.alpha_x == self.alpha_y == self.beta_x == self.beta_y == 0.0
 
@@ -148,9 +145,6 @@ class MatchResult:
     omega_commutative: float
     omega_nc: float
     params2d: Params2D
-
-    def f_theta_relations(self, f_theta, theta=0.0):
-        return self.kx * (f_theta - theta), self.ky * (f_theta + theta)
 
 
 def field_to_deformation(field, f_theta, hbar=1.0, theta=0.0):

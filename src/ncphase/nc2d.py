@@ -288,11 +288,16 @@ def _decode(v):
 _FIELDS = ("theta", "eta", "f_theta", "f_eta", "f_theta_x", "f_theta_y", "f_eta_x", "f_eta_y")
 
 
-def params2d_to_json(p):
+def params2d_to_doc(p):
+    """The JSON document of ``p`` as a dict; a complex entry is ``[re, im]``."""
     doc = {name: _encode(getattr(p, name)) for name in _FIELDS}
     doc["hbar"] = p.hbar
     doc["imaginary_mode"] = p.imaginary_mode
-    return json.dumps(doc, sort_keys=True)
+    return doc
+
+
+def params2d_to_json(p):
+    return json.dumps(params2d_to_doc(p), sort_keys=True)
 
 
 def params2d_from_json(text):

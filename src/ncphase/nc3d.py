@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend
+from .algebra import antisymmetric_3d
 
 FEASIBLE_TOL = 1e-12
 GAP_TOL = 1e-10
@@ -92,33 +93,6 @@ def unpack(x, hbar=1.0):
         f_eta_off=tuple(x[9:12]),
         hbar=hbar,
     )
-
-
-def _antisym(triple):
-    c1, c2, c3 = triple
-    return np.array([[0.0, c1, c2], [-c1, 0.0, c3], [-c2, -c3, 0.0]])
-
-
-def _sym(diag, off):
-    d1, d2, d3 = diag
-    o1, o2, o3 = off
-    return np.array([[d1, o1, o2], [o1, d2, o3], [o2, o3, d3]])
-
-
-def theta_matrix(p):
-    return _antisym(p.theta)
-
-
-def eta_matrix(p):
-    return _antisym(p.eta)
-
-
-def f_theta_matrix(p):
-    return _sym(p.f_theta_diag, p.f_theta_off)
-
-
-def f_eta_matrix(p):
-    return _sym(p.f_eta_diag, p.f_eta_off)
 
 
 def residual_3d(p):
@@ -302,7 +276,7 @@ def generate_feasible_3d(seed, hbar=1.0, force_zero_c=False):
     rng = np.random.default_rng(seed)
     for _ in range(100):
         raw = rng.normal(size=(3, 3))
-        F0 = 0.5 * (raw + raw.T) - _antisym(rng.normal(size=3))
+        F0 = 0.5 * (raw + raw.T) - antisymmetric_3d(rng.normal(size=3))
         if force_zero_c:
             F1 = F0
             G = np.zeros((3, 3))

@@ -66,6 +66,24 @@ def test_check_map_fail_exit_code(sw_fixture, tmp_path):
     assert r.returncode == 1
 
 
+@pytest.mark.parametrize("index, key, value", [
+    (0, "A", [[float("nan"), 0.0], [0.0, 1.0]]),
+    (0, "hbar", float("nan")),
+    # antisymmetric, so only a finiteness check rejects it
+    (1, "eta", [[0.0, float("inf")], [-float("inf"), 0.0]]),
+], ids=["map-A-nan", "map-hbar-nan", "params-eta-inf"])
+def test_check_map_non_finite_input_is_an_error(index, key, value, sw_fixture):
+    path = sw_fixture[index]
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    r = run_cli("check-map", "--map", str(sw_fixture[0]), "--theta", str(sw_fixture[1]), "--json")
+    assert r.returncode == 2, r.stdout
+    doc = strict_loads(r.stdout)
+    assert doc["status"] == "error"
+    assert ("must be finite" if key != "hbar" else "hbar mismatch") in doc["errata_notes"][0]
+
+
 def test_check_map_missing_file_exit_code(tmp_path):
     r = run_cli("check-map", "--map", str(tmp_path / "nope.json"),
                 "--theta", str(tmp_path / "nope2.json"))
@@ -229,6 +247,33 @@ def test_match_field_non_finite_input_is_an_error(flag):
     assert "must be finite" in doc["errata_notes"][0]
 
 
+MATCH_ARGS = ["match-field", "--alpha-x", "1", "--alpha-y", "2", "--beta-x", "1", "--beta-y", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    # just outside the FThetaMinus tolerance: the two pivot routes disagree
+    ["solve2d", "--theta", "1", "--eta", "2", "--f-theta", "-1.000000001", "--f-eta", "4",
+     "--f-theta-x", "3"],
+    MATCH_ARGS + ["--c", "0"],
+    MATCH_ARGS + ["--m-p", "0"],
+    MATCH_ARGS + ["--hbar", "0"],
+    ["simulate", "--scenario", "{zero_e}", "--out", "{out}"],
+    ["equivalence", "--scenario", "{zero_e}"],
+], ids=["pivot-routes", "c-0", "m_p-0", "hbar-0", "simulate-e-0", "equivalence-e-0"])
+def test_runtime_and_zero_division_errors_are_error_reports(argv, scenario, tmp_path):
+    zero_e = tmp_path / "zero_e.json"
+    doc = json.loads(scenario.read_text())
+    doc["field"]["e"] = 0.0
+    zero_e.write_text(json.dumps(doc))
+    paths = {"zero_e": zero_e, "out": tmp_path / "traj.csv"}
+    r = run_cli(*[tok.format(**paths) for tok in argv], "--json")
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert "Traceback" not in r.stderr
+    doc = strict_loads(r.stdout)
+    assert doc["status"] == "error"
+    assert doc["errata_notes"][0].startswith(("RuntimeError", "ZeroDivisionError"))
+
+
 def test_gen3d_rejects_non_finite_hbar():
     r = run_cli("gen3d", "--seed", "1", "--hbar", "nan", "--json")
     assert r.returncode == 2
@@ -294,12 +339,67 @@ def test_sweep_non_finite_literals_become_error_rows(tmp_path):
     out = tmp_path / "rows.json"
     r = run_cli("sweep", "--config", str(cfg), "--out", str(out), "--json")
     assert r.returncode == 1, r.stdout  # the sweep completed with error rows
-    rows = strict_loads(r.stdout)["payload"]["rows"]
+    assert strict_loads(r.stdout)["payload"] == {}
+    rows = strict_loads(out.read_text())["payload"]["rows"]
     assert [row["status"] for row in rows] == ["error", "pass", "error"]
     assert "must be finite" in rows[0]["errata_notes"][0]
     assert [row["point"] for row in rows] == [{"f_theta": None}, {"f_theta": 2.0},
                                               {"f_theta": None}]
-    assert strict_loads(out.read_text())["payload"]["rows"] == rows
+
+
+SWEEPS = {
+    "solve2d": {  # crosses FThetaPlus and FEtaMinus
+        "task": "solve2d",
+        "base": {"theta": 1.0, "eta": 2.0, "f_theta_x": 3.0},
+        "grid": {"f_theta": [1.0, 2.0, 3.0], "f_eta": [4.0, -2.0]},
+    },
+    "match-field": {  # proportional, non-proportional and degenerate gauges
+        "task": "match-field",
+        "base": {"alpha_x": 1.0, "beta_x": 1.0},
+        "grid": {"alpha_y": [2.0, 0.0], "beta_y": [2.0, 3.0], "e": [1.0, 2.0]},
+    },
+}
+
+
+@pytest.mark.parametrize("task", sorted(SWEEPS))
+def test_sweep_out_file_is_the_stdout_document(task, tmp_path):
+    # --out moves the rows document to the file byte for byte; stdout keeps
+    # the summary and the exit code
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(SWEEPS[task]))
+    out = tmp_path / "rows.json"
+    full = run_cli("sweep", "--config", str(cfg), "--json")
+    summary = run_cli("sweep", "--config", str(cfg), "--out", str(out), "--json")
+    assert out.read_bytes() == full.stdout.encode()
+    assert summary.returncode == full.returncode == 1
+    doc, head = strict_loads(full.stdout), strict_loads(summary.stdout)
+    assert head["payload"] == {}
+    assert len(doc["payload"]["rows"]) == doc["metrics"]["points"] > 4
+    for key in ("command", "status", "metrics", "errata_notes"):
+        assert head[key] == doc[key]
+
+
+def test_sweep_rows_follow_the_grid_in_lexicographic_order(tmp_path):
+    # axes are taken in sorted name order, each in its listed value order,
+    # and the last axis varies fastest
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "task": "solve2d",
+        "base": {"theta": 1.0, "eta": 2.0},
+        "grid": {"f_theta_x": [3.0, 5.0], "f_theta": [3.0, 2.0, 4.0], "f_eta": [5.0, 4.0]},
+    }))
+    r = run_cli("sweep", "--config", str(cfg), "--json")
+    assert r.returncode == 0, r.stdout
+    rows = strict_loads(r.stdout)["payload"]["rows"]
+    expected = [
+        (5.0, 3.0, 3.0), (5.0, 3.0, 5.0), (5.0, 2.0, 3.0), (5.0, 2.0, 5.0),
+        (5.0, 4.0, 3.0), (5.0, 4.0, 5.0), (4.0, 3.0, 3.0), (4.0, 3.0, 5.0),
+        (4.0, 2.0, 3.0), (4.0, 2.0, 5.0), (4.0, 4.0, 3.0), (4.0, 4.0, 5.0),
+    ]
+    assert [row["point"] for row in rows] == [
+        {"f_eta": fe, "f_theta": ft, "f_theta_x": fx} for fe, ft, fx in expected]
+    assert all((row["payload"]["f_eta"], row["payload"]["f_theta"], row["payload"]["f_theta_x"])
+               == pt for row, pt in zip(rows, expected))
 
 
 def test_sweep_eta_linearity(tmp_path):

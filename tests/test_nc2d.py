@@ -17,6 +17,7 @@ from ncphase.nc2d import (
     complete_2d_imaginary,
     maps_2d,
     params2d_from_json,
+    params2d_to_doc,
     params2d_to_json,
     residual_2d,
 )
@@ -157,6 +158,15 @@ def test_json_roundtrip_real_and_complex():
     assert q2.f_eta_x == q.f_eta_x
     doc = json.loads(params2d_to_json(q))
     assert doc["f_theta"] == [0.0, 2.0]
+
+
+@pytest.mark.parametrize("p", [
+    complete_2d(1.0, 2.0, 2.0, 4.0, 3.0),
+    complete_2d(1.0, 2.0, 2.0, 4.0, f_theta_y=-0.5),
+    complete_2d_imaginary(1.0, 2.0, 0.5 + 2.0j, 4.0, 2.0),
+], ids=["x-pivot", "y-pivot", "imaginary"])
+def test_params2d_to_doc_is_the_json_document(p):
+    assert params2d_to_doc(p) == json.loads(params2d_to_json(p))
 
 
 @settings(max_examples=80, deadline=None)
