@@ -34,11 +34,14 @@ from .algebra import (
     verify_deformation,
 )
 from .nc2d import (
+    SINGULAR_KINDS,
+    Completion2D,
     Params2D,
     SingularBranchError,
     SingularKind,
-    classify_singular,
+    classify_singular_batch,
     complete_2d,
+    complete_2d_batch,
     complete_2d_imaginary,
     maps_2d,
     params2d_from_json,
@@ -69,6 +72,7 @@ from .dynamics import (
     DegenerateFieldError,
     EquivalenceReport,
     FieldConfig,
+    MatchBatch,
     MatchResult,
     NonMatchableError,
     QuadraticForm,
@@ -79,6 +83,7 @@ from .dynamics import (
     evolve_linear,
     extract_rotation_frequency,
     field_to_deformation,
+    field_to_deformation_batch,
     free_hamiltonian,
     magnetic_hamiltonian,
     nc_closed_form,

@@ -10,20 +10,23 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import __version__
 from .algebra import map_from_json, params_from_json, verify_deformation
-from .nc2d import (SingularBranchError, complete_2d, complete_2d_imaginary, params2d_to_doc,
-                   residual_2d)
+from .nc2d import SingularBranchError, complete_2d_batch
 from .nc3d import generate_feasible_3d, params3d_from_json, params3d_to_doc, residual_3d, solve_3d
 from .dynamics import (DEFAULT_STEPS, ClosedFormCoeffs, DegenerateFieldError, FieldConfig,
-                       NonMatchableError, equivalence_check, field_to_deformation,
+                       NonMatchableError, equivalence_check, field_to_deformation_batch,
                        simulate_matched, trajectory_to_csv)
 
 EXITS = {"pass": 0, "fail": 1, "error": 2}
+# exit code when stdout closes early (`ncphase ... | head`): 128 + SIGPIPE,
+# the code a shell shows for a process that SIGPIPE ended
+EXIT_CLOSED_STDOUT = 141
 
 MATCH_PAIRING_NOTE = (
     "gauge-ratio pairing: f_theta_x = -(beta_y/alpha_y)*(f_theta - theta) and "
@@ -87,25 +90,33 @@ def _run_check_map(args):
     return _report("check-map", "pass" if rep.passed else "fail", metrics)
 
 
-def _run_solve2d(args):
-    try:
-        if args.get("f_theta_imag"):
-            p = complete_2d_imaginary(
-                args["theta"], args["eta"],
-                complex(args["f_theta"], args["f_theta_imag"]),
-                args["f_eta"], args["f_theta_x"], args.get("hbar", 1.0),
-            )
-        elif args.get("f_theta_y") is not None:
-            p = complete_2d(args["theta"], args["eta"], args["f_theta"], args["f_eta"],
-                            hbar=args.get("hbar", 1.0), f_theta_y=args["f_theta_y"])
+def _error_note(err):
+    if isinstance(err, SingularBranchError):
+        return f"SingularBranch: {err.kind.value}"
+    return f"{type(err).__name__}: {err}"
+
+
+# Row builders: the reports of n points at once, one per point.  Each
+# column is a scalar or an (n,) array; the single commands are n = 1.
+
+
+def _solve2d_rows(cols, n):
+    done = complete_2d_batch(cols["theta"], cols["eta"], cols["f_theta"], cols["f_eta"],
+                             cols.get("f_theta_x"), cols.get("hbar", 1.0),
+                             f_theta_y=cols.get("f_theta_y"),
+                             f_theta_imag=cols.get("f_theta_imag", 0.0))
+    rows = []
+    for i, (doc, residual) in enumerate(zip(done.docs(), done.residual_max)):
+        err = done.errors.get(i)
+        if err is None:
+            rows.append(_report("solve2d", "pass", {"residual_max": residual}, doc))
         else:
-            p = complete_2d(args["theta"], args["eta"], args["f_theta"], args["f_eta"],
-                            args["f_theta_x"], args.get("hbar", 1.0))
-    except SingularBranchError as err:
-        return _report("solve2d", "error", notes=[f"SingularBranch: {err.kind.value}"])
-    payload = params2d_to_doc(p)
-    metrics = {"residual_max": float(np.abs(residual_2d(p)).max())}
-    return _report("solve2d", "pass", metrics, payload)
+            rows.append(_report("solve2d", "error", notes=[_error_note(err)]))
+    return rows
+
+
+def _run_solve2d(args):
+    return _solve2d_rows(args, 1)[0]
 
 
 def _run_gen3d(args):
@@ -142,31 +153,30 @@ def _run_solve3d(args):
     return _report("solve3d", "pass" if res.converged else "fail", metrics, payload, notes)
 
 
+def _match_field_rows(cols, n):
+    get = cols.get
+    match = field_to_deformation_batch(cols["alpha_x"], cols["alpha_y"], cols["beta_x"],
+                                       cols["beta_y"], get("e", 1.0), get("c", 1.0),
+                                       get("m_p", 1.0), get("f_theta", 0.0), get("hbar", 1.0),
+                                       get("theta", 0.0))
+    b_z = cols["alpha_y"] - cols["beta_x"]  # of two scalars, a Python number as FieldConfig.b_z
+    b_z = [b_z] * n if np.ndim(b_z) == 0 else b_z.tolist()
+    rows = []
+    columns = zip(match.eta, match.f_eta, match.kx, match.ky, b_z, match.params2d.docs(),
+                  match.omega_commutative, match.omega_nc)
+    for i, (eta, f_eta, kx, ky, bz, doc, omega_c, omega_nc) in enumerate(columns):
+        err = match.errors.get(i)
+        if err is not None:
+            rows.append(_report("match-field", "error", notes=[_error_note(err)]))
+            continue
+        payload = {"eta": eta, "f_eta": f_eta, "kx": kx, "ky": ky, "b_z": bz, "params2d": doc}
+        metrics = {"eta": eta, "omega_commutative": omega_c, "omega_nc": omega_nc}
+        rows.append(_report("match-field", "pass", metrics, payload, [MATCH_PAIRING_NOTE]))
+    return rows
+
+
 def _run_match_field(args):
-    field = FieldConfig(
-        alpha_x=args["alpha_x"], alpha_y=args["alpha_y"],
-        beta_x=args["beta_x"], beta_y=args["beta_y"],
-        e=args.get("e", 1.0), c=args.get("c", 1.0), m_p=args.get("m_p", 1.0),
-    )
-    try:
-        match = field_to_deformation(field, args.get("f_theta", 0.0),
-                                     args.get("hbar", 1.0), args.get("theta", 0.0))
-    except (NonMatchableError, DegenerateFieldError) as err:
-        return _report("match-field", "error", notes=[f"{type(err).__name__}: {err}"])
-    payload = {
-        "eta": match.eta,
-        "f_eta": match.f_eta,
-        "kx": match.kx,
-        "ky": match.ky,
-        "b_z": field.b_z,
-        "params2d": params2d_to_doc(match.params2d),
-    }
-    metrics = {
-        "eta": match.eta,
-        "omega_commutative": match.omega_commutative,
-        "omega_nc": match.omega_nc,
-    }
-    return _report("match-field", "pass", metrics, payload, [MATCH_PAIRING_NOTE])
+    return _match_field_rows(args, 1)[0]
 
 
 def _load_scenario(path):
@@ -246,8 +256,27 @@ def _run_equivalence(args):
                    notes=rep.errata_notes)
 
 
-_SWEEP_TASKS = {"solve2d": _run_solve2d, "match-field": _run_match_field}
+_SWEEP_TASKS = {"solve2d": _solve2d_rows, "match-field": _match_field_rows}
 SWEEP_MAX_POINTS = 1_000_000
+# grid points per batched call: large enough that numpy, not dispatch,
+# does the work, small enough that memory stays flat up to the 1e6 cap
+SWEEP_CHUNK = 8192
+
+
+def _is_number(v):
+    # a JSON number the batched engine can hold as a float (bool is not one)
+    return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
+
+
+def _missing_parameter(task, given, imag_values):
+    """The first parameter ``task`` needs that neither base nor grid gives."""
+    if task == "match-field":
+        needed = ["alpha_x", "alpha_y", "beta_x", "beta_y"]
+    else:  # an imaginary draw completes from f_theta_x, a real one from f_theta_y if given
+        needed = ["theta", "eta", "f_theta", "f_eta"]
+        if "f_theta_y" not in given or any(imag_values):
+            needed.append("f_theta_x")
+    return next((name for name in needed if name not in given), None)
 
 
 def _run_sweep(args):
@@ -270,35 +299,63 @@ def _run_sweep(args):
     total = math.prod(map(len, axes))
     if total > SWEEP_MAX_POINTS:
         return _report("sweep", "error", notes=[f"grid of {total} points exceeds the 1e6 cap"])
-
     base = dict(cfg.get("base", {}))
-    finite = all(math.isfinite(v) for ax in axes for v in ax)
-    rows = []
-    for values in itertools.product(*axes):  # the last axis varies fastest
-        point = dict(zip(names, values))
-        call = dict(base)
-        call.update(point)
-        try:
-            row = _SWEEP_TASKS[task](call)
-        except Exception as err:  # singular points become error rows, sweep continues
-            row = _report(task, "error", notes=[f"{type(err).__name__}: {err}"])
-        row["point"] = point if finite else {k: _finite_or_none(v) for k, v in point.items()}
-        rows.append(row)
+    for name, v in base.items():
+        if not _is_number(v):
+            return _report("sweep", "error", notes=[f"base value {name!r} is not a number: {v!r}"])
+    imag = dict(zip(names, axes)).get("f_theta_imag", [base.get("f_theta_imag", 0.0)])
+    missing = _missing_parameter(task, set(base) | set(names), imag)
+    if missing is not None:
+        return _report("sweep", "error",
+                       notes=[f"sweep task {task} needs {missing!r} in base or grid"])
 
-    statuses = {row["status"] for row in rows}
-    status = "pass" if statuses == {"pass"} else "fail"
-    report = _report("sweep", status, {"points": total}, {"rows": rows})
+    finite = all(math.isfinite(v) for ax in axes for v in ax)
+    points = itertools.product(*axes)  # the last axis varies fastest
+    blocks = iter(lambda: list(itertools.islice(points, SWEEP_CHUNK)), [])
+    statuses = set()
+
+    def rows_of(block):  # the rows of one chunk of grid points, in grid order
+        cols = dict(base)
+        cols.update(zip(names, np.array(block).T))
+        rows = _SWEEP_TASKS[task](cols, len(block))
+        for row, values in zip(rows, block):
+            point = dict(zip(names, values))
+            row["point"] = point if finite else {k: _finite_or_none(v) for k, v in point.items()}
+            statuses.add(row["status"])
+        return rows
+
     if not args.get("out"):
-        return report
-    # the rows go to the file only; stdout carries the summary
+        rows = [row for block in blocks for row in rows_of(block)]
+        status = "pass" if statuses == {"pass"} else "fail"
+        return _report("sweep", status, {"points": total}, {"rows": rows})
+
+    def document(status):  # the rows document, split where its rows go
+        return _dumps(_report("sweep", status, {"points": total}, {"rows": [None]})).split("null")
+
+    # The rows go to the file only, one chunk at a time, each chunk's rows
+    # freed once dumped; stdout carries the summary.  Sorted keys put
+    # "status" after the rows, so it is written last.
     with open(args["out"], "w") as fh:
-        fh.write(_dumps(report))
+        fh.write(document("pass")[0])
+        for k, block in enumerate(blocks):
+            if k:
+                fh.write(", ")
+            fh.write(_dumps(rows_of(block))[1:-1])
+        status = "pass" if statuses == {"pass"} else "fail"
+        fh.write(document(status)[1])
         fh.write("\n")
-    report["payload"] = {}
-    return report
+    return _report("sweep", status, {"points": total})
 
 
 # ---------------------------------------------------------------------------
+
+
+def tolerance(text):
+    """argparse type of --tol: a finite, non-negative float."""
+    tol = float(text)
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return tol
 
 
 def _build_parser():
@@ -309,7 +366,7 @@ def _build_parser():
     p = sub.add_parser("check-map", help="verify a map against a deformation target")
     p.add_argument("--map", required=True)
     p.add_argument("--theta", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=tolerance, default=1e-10)
 
     p = sub.add_parser("solve2d", help="complete the 2D parameter set from a pivot")
     p.add_argument("--theta", type=float, required=True)
@@ -324,7 +381,7 @@ def _build_parser():
     p = sub.add_parser("solve3d", help="damped Newton on the 3D residual")
     p.add_argument("--input", required=True)
     p.add_argument("--frozen", default="")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=tolerance, default=1e-10)
     p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--out")
@@ -356,7 +413,7 @@ def _build_parser():
     p = sub.add_parser("equivalence", help="closed form vs integrator cross-checks")
     p.add_argument("--scenario", required=True)
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=tolerance, default=1e-8)
     p.add_argument("--eta-scale", type=float, default=1.0)
 
     p = sub.add_parser("sweep", help="grid sweep over solve2d or match-field parameters")
@@ -399,7 +456,15 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+    except BrokenPipeError:
+        # as the signal module docs advise: point stdout at devnull so the
+        # flush at exit cannot fail again, and exit without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

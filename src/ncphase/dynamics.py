@@ -18,12 +18,14 @@ dz/dt = (1/hbar) * Omega * S * z with Omega = [[theta, hbar I],
 """
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import backend
 from .algebra import DeformationParams, antisymmetric_2d
-from .nc2d import Params2D, maps_2d, residual_2d
+from .nc2d import (HBAR_MESSAGE, Completion2D, Params2D, _collect_errors, _draws, _item,
+                   _residual_entries, _residual_scale, maps_2d)
 
 PROPORTIONALITY_RTOL = 1e-12
 MATCH_RESIDUAL_TOL = 1e-12
@@ -73,9 +75,14 @@ class FieldConfig:
         return self.alpha_x == self.alpha_y == self.beta_x == self.beta_y == 0.0
 
     def is_matchable(self, rtol=PROPORTIONALITY_RTOL):
-        cross = self.beta_y * self.alpha_x - self.alpha_y * self.beta_x
-        scale = max(abs(v) for v in (self.alpha_x, self.alpha_y, self.beta_x, self.beta_y, 1.0))
-        return abs(cross) <= rtol * scale * scale
+        return bool(_proportional(self.alpha_x, self.alpha_y, self.beta_x, self.beta_y, rtol))
+
+
+def _proportional(ax, ay, bx, by, rtol=PROPORTIONALITY_RTOL):
+    # beta_y / beta_x == alpha_y / alpha_x to rtol, without dividing
+    scale = np.maximum(np.maximum(np.abs(ax), np.abs(ay)), np.maximum(np.abs(bx), np.abs(by)))
+    scale = np.maximum(scale, 1.0)
+    return np.abs(by * ax - ay * bx) <= rtol * scale * scale
 
 
 @dataclass(frozen=True)
@@ -147,76 +154,136 @@ class MatchResult:
     params2d: Params2D
 
 
+_FIELD_NAMES = ("alpha_x", "alpha_y", "beta_x", "beta_y", "e", "c", "m_p")
+
+
+def _division_error(num, den):
+    # the ZeroDivisionError Python raises for num / den, message included
+    try:
+        num / den
+    except ZeroDivisionError as err:
+        return err
+    raise AssertionError(f"{num!r} / {den!r} divides")
+
+
+class MatchBatch(NamedTuple):
+    """N matched fields and the error of each failed one.
+
+    Every field is a list with one entry per draw: the value a
+    MatchResult of that draw holds; ``params2d`` carries the matched
+    Params2D values.  Entries of failed draws are placeholders.
+    ``errors`` maps the index of a failed draw to the exception
+    field_to_deformation raises for it.
+    """
+
+    eta: list
+    f_eta: list
+    kx: list
+    ky: list
+    omega_commutative: list
+    omega_nc: list
+    params2d: Completion2D
+    errors: dict
+
+
+def field_to_deformation_batch(alpha_x, alpha_y, beta_x, beta_y, e=1.0, c=1.0, m_p=1.0,
+                               f_theta=0.0, hbar=1.0, theta=0.0):
+    """Match N proportional gauge fields at once; returns MatchBatch.
+
+    Every argument is a scalar or an (N,) array.  Each draw fails exactly
+    as building its FieldConfig and calling field_to_deformation would, in
+    the same order of checks, with the same exception and message.
+    """
+    raw, n, (ax, ay, bx, by, e, c, m_p, f, h, t) = _draws(alpha_x, alpha_y, beta_x, beta_y, e, c,
+                                                          m_p, f_theta, hbar, theta)
+    finite = np.isfinite(np.stack([ax, ay, bx, by, e, c, m_p, f, h, t]))
+    with np.errstate(all="ignore"):
+        k = e / c
+        zero = (ax == 0.0) & (ay == 0.0) & (bx == 0.0) & (by == 0.0)
+        proportional = _proportional(ax, ay, bx, by)
+        b_z = ay - bx
+        eta = np.where(zero, 0.0, h * k * b_z)
+        f_eta = np.where(zero, 0.0, -h * k * (ay + bx))
+        kx = np.where(zero, 0.0, -by / ay)
+        ky = np.where(zero, 0.0, -ax / bx)
+        f_theta_x = kx * (f - t)
+        f_theta_y = ky * (f + t)
+        # gauge-ratio forms of the off-diagonal momentum entries; the
+        # divisions of the generic closed forms cancel exactly here
+        f_eta_x = np.where(bx != 0.0, (ax / bx) * (f_eta + eta), 0.0)
+        f_eta_y = np.where(ay != 0.0, (by / ay) * (f_eta - eta), 0.0)
+        fields = (t, eta, f, f_eta, f_theta_x, f_theta_y, f_eta_x, f_eta_y)
+        worst = np.abs(_residual_entries(*fields)).max(axis=1)
+        omega_c = -(e / (c * m_p)) * b_z
+        omega_nc = eta / (m_p * h)
+        stages = [
+            ~finite[:7].all(axis=0),
+            ~finite[7:].all(axis=0),
+            h <= 0,
+            c == 0.0,
+            ~zero & ((bx == 0.0) | (ay == 0.0)),
+            ~zero & ~proportional,
+            ~np.isfinite(worst),
+            worst > MATCH_RESIDUAL_TOL * _residual_scale(*fields),
+            c * m_p == 0.0,
+            m_p * h == 0.0,
+        ]
+
+    def item(slot, i):
+        return _item(raw[slot], i)
+
+    def non_finite_field(i):
+        slot = int(np.argmin(finite[:7, i]))
+        return ValueError(f"{_FIELD_NAMES[slot]} must be finite, got {item(slot, i)!r}")
+
+    errors = _collect_errors(stages, [
+        non_finite_field,
+        lambda i: ValueError("f_theta, hbar and theta must be finite, got "
+                             f"{(item(7, i), item(8, i), item(9, i))!r}"),
+        ValueError(HBAR_MESSAGE),
+        lambda i: _division_error(item(4, i), item(5, i)),
+        DegenerateFieldError("beta_x or alpha_y is zero; use the single-constant time-law branch"),
+        NonMatchableError("gauge rows not proportional: beta_y/beta_x != alpha_y/alpha_x"),
+        ValueError("the matched parameters overflow"),
+        lambda i: RuntimeError(
+            f"matched parameters violate the consistency product: {worst[i]:.3e}"),
+        lambda i: _division_error(item(4, i), item(5, i) * item(6, i)),
+        lambda i: _division_error(eta[i].item(), item(6, i) * item(8, i)),
+    ])
+
+    floats = [v.tolist() for v in (t, eta, f, f_eta, f_theta_x, f_theta_y, f_eta_x, f_eta_y, h)]
+    params2d = Completion2D(*floats, imaginary_mode=[False] * n, residual_max=worst.tolist(),
+                            errors=errors)
+    return MatchBatch(eta=floats[1], f_eta=floats[3], kx=kx.tolist(), ky=ky.tolist(),
+                      omega_commutative=omega_c.tolist(), omega_nc=omega_nc.tolist(),
+                      params2d=params2d, errors=errors)
+
+
 def field_to_deformation(field, f_theta, hbar=1.0, theta=0.0):
     """Match a proportional gauge field to a momentum-sector deformation.
 
     Fails with NonMatchableError when the gauge rows are not
     proportional and with DegenerateFieldError when beta_x or alpha_y
     vanishes (unless the whole gauge is zero, which matches trivially),
-    and with ValueError on a non-finite argument or an overflowing match.
+    and with ValueError on a non-finite argument, hbar <= 0 or an
+    overflowing match.  The one-draw call of field_to_deformation_batch.
     """
-    if not all(map(math.isfinite, (f_theta, hbar, theta))):
-        raise ValueError(f"f_theta, hbar and theta must be finite, got {(f_theta, hbar, theta)!r}")
-    k = field.e / field.c
-    if field.is_zero():
-        eta = 0.0
-        f_eta = 0.0
-        kx = ky = 0.0
-    else:
-        if field.beta_x == 0.0 or field.alpha_y == 0.0:
-            raise DegenerateFieldError(
-                "beta_x or alpha_y is zero; use the single-constant time-law branch"
-            )
-        if not field.is_matchable():
-            raise NonMatchableError(
-                "gauge rows not proportional: beta_y/beta_x != alpha_y/alpha_x"
-            )
-        eta = hbar * k * field.b_z
-        f_eta = -hbar * k * (field.alpha_y + field.beta_x)
-        kx = -field.beta_y / field.alpha_y
-        ky = -field.alpha_x / field.beta_x
-
-    f_theta_x = kx * (f_theta - theta)
-    f_theta_y = ky * (f_theta + theta)
-    # gauge-ratio forms of the off-diagonal momentum entries; the
-    # divisions of the generic closed forms cancel exactly here
-    f_eta_x = (field.alpha_x / field.beta_x) * (f_eta + eta) if field.beta_x else 0.0
-    f_eta_y = (field.beta_y / field.alpha_y) * (f_eta - eta) if field.alpha_y else 0.0
-
-    p = Params2D(
-        theta=float(theta),
-        eta=float(eta),
-        f_theta=float(f_theta),
-        f_eta=float(f_eta),
-        f_theta_x=float(f_theta_x),
-        f_theta_y=float(f_theta_y),
-        f_eta_x=float(f_eta_x),
-        f_eta_y=float(f_eta_y),
-        hbar=float(hbar),
-    )
-    vals = [abs(getattr(p, n)) for n in
-            ("theta", "eta", "f_theta", "f_eta", "f_theta_x", "f_theta_y", "f_eta_x", "f_eta_y")]
-    scale = max(1.0, max(vals) ** 2)
-    worst = float(np.abs(residual_2d(p)).max())
-    if not math.isfinite(worst):
-        raise ValueError("the matched parameters overflow")
-    if worst > MATCH_RESIDUAL_TOL * scale:
-        raise RuntimeError(f"matched parameters violate the consistency product: {worst:.3e}")
-
-    omega_c = field.omega
-    omega_nc = eta / (field.m_p * hbar)
+    batch = field_to_deformation_batch(field.alpha_x, field.alpha_y, field.beta_x, field.beta_y,
+                                       field.e, field.c, field.m_p, f_theta, hbar, theta)
+    if 0 in batch.errors:
+        raise batch.errors[0]
     return MatchResult(
         field=field,
         hbar=float(hbar),
         theta=float(theta),
         f_theta=float(f_theta),
-        eta=float(eta),
-        f_eta=float(f_eta),
-        kx=float(kx),
-        ky=float(ky),
-        omega_commutative=float(omega_c),
-        omega_nc=float(omega_nc),
-        params2d=p,
+        eta=batch.eta[0],
+        f_eta=batch.f_eta[0],
+        kx=batch.kx[0],
+        ky=batch.ky[0],
+        omega_commutative=batch.omega_commutative[0],
+        omega_nc=batch.omega_nc[0],
+        params2d=batch.params2d.params(0),
     )
 
 

@@ -9,12 +9,16 @@ written here with t = theta, e = eta, f_t* the symmetric position-sector
 correction entries and f_e* the momentum-sector ones.  Given the scalars
 (theta, eta, f_theta, f_eta) and one diagonal pivot, the remaining three
 entries follow in closed form; the four product entries are the residual.
+
+Classification and completion are written once, over arrays of draws
+(``classify_singular_batch``, ``complete_2d_batch``); the scalar
+``complete_2d`` and ``complete_2d_imaginary`` are their one-draw calls.
 """
-import cmath
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,12 +29,18 @@ ROUTE_AGREEMENT_RTOL = 1e-12
 
 
 class SingularKind(Enum):
+    # declaration order is the classification priority
     F_THETA_PLUS = "FThetaPlus"
     F_THETA_MINUS = "FThetaMinus"
     F_ETA_PLUS = "FEtaPlus"
     F_ETA_MINUS = "FEtaMinus"
     ZERO_PIVOT = "ZeroPivot"
     REGULAR = "Regular"
+
+
+# classify_singular_batch returns indices into this tuple
+SINGULAR_KINDS = tuple(SingularKind)
+_REGULAR = SINGULAR_KINDS.index(SingularKind.REGULAR)
 
 
 class SingularBranchError(ValueError):
@@ -55,6 +65,12 @@ class Params2D:
     imaginary_mode: bool = False
 
 
+_FIELDS = ("theta", "eta", "f_theta", "f_eta", "f_theta_x", "f_theta_y", "f_eta_x", "f_eta_y")
+_PARAMS = _FIELDS + ("hbar", "imaginary_mode")
+_ONE_PIVOT = "exactly one of f_theta_x, f_theta_y must be given"
+HBAR_MESSAGE = "hbar must be positive and finite"
+
+
 def _as_scalar(v):
     # collapse complex carrying no imaginary part to float
     if isinstance(v, complex) and v.imag == 0.0:
@@ -62,48 +78,301 @@ def _as_scalar(v):
     return v
 
 
-_INPUT_NAMES = ("theta", "eta", "f_theta", "f_eta", "f_theta_x", "f_theta_y", "hbar")
+def _item(v, i):
+    """Draw i of an input: the caller's own object where it passed a scalar."""
+    return v if np.ndim(v) == 0 else v[i].item()
 
 
-def _check_finite(values):
-    # non-finite input is an input error, never a completion; None is an absent pivot
-    for name, v in zip(_INPUT_NAMES, values):
-        if v is not None and not cmath.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
+def _draws(*values):
+    """(raw, N, columns) of batch inputs that are scalars or (N,) arrays.
+
+    In ``raw`` a scalar stays the caller's own object (its repr goes into
+    messages and its type into payloads); ``columns`` are float arrays of
+    shape (N,).  None, an absent input, stays None in both.
+    """
+    raw = [v if v is None or np.ndim(v) == 0 else np.asarray(v, dtype=float) for v in values]
+    n = max([1] + [v.size for v in raw if np.ndim(v)])
+    columns = [None if v is None else np.broadcast_to(np.asarray(v, float), (n,)) for v in raw]
+    return raw, n, columns
+
+
+def _column(values, n, override=None, where=None):
+    """Per-draw Python values: ``values`` (a scalar, kept as is, or an
+    array), with ``override`` put in at the draws ``where`` selects."""
+    if where is None or not where.any():
+        return [values] * n if np.ndim(values) == 0 else np.broadcast_to(values, (n,)).tolist()
+    col = np.empty(n, dtype=object)
+    col[:] = values
+    col[where] = override[where]
+    return col.tolist()
+
+
+_POW = np.frompyfunc(math.pow, 2, 1)
 
 
 def _square(x):
-    # a float ** raises OverflowError where a product would give inf
-    try:
-        return x**2
-    except OverflowError:
-        raise ValueError("the completion overflows") from None
+    """x**2 rounded as Python's float power rounds it: the C library pow,
+    which differs from x*x in the last bit on about 0.1% of inputs.  Draws
+    whose square overflows read inf."""
+    sq = x * x
+    ok = np.isfinite(sq)
+    values, inverse = np.unique(x[ok], return_inverse=True)
+    sq[ok] = _POW(values, 2.0).astype(float)[inverse]
+    return sq
+
+
+def _magnitude(v):
+    # Python's abs of a complex is the C library hypot; numpy's complex abs
+    # rounds differently
+    return np.hypot(v.real, v.imag) if np.iscomplexobj(v) else np.abs(v)
+
+
+def _cprod(ar, ai, br, bi):
+    # Python's complex product, on real and imaginary parts
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cquot(ar, ai, br, bi):
+    # Python's complex quotient (Smith's method, dividing by denom), on
+    # real and imaginary parts; a zero divisor never reaches a regular draw
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_real, bi / br, br / bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
 
 
 def singular_tolerance(theta, f_theta):
     """Default absolute tolerance for singular-class detection."""
-    return 1e-10 * max(abs(theta), abs(f_theta), 1.0)
+    return 1e-10 * np.maximum(np.maximum(_magnitude(theta), _magnitude(f_theta)), 1.0)
 
 
-def classify_singular(theta, eta, f_theta, f_eta, pivot, tol=None):
-    """Classify a parameter draw, highest-priority class first.
+def classify_singular_batch(theta, eta, f_theta, f_eta, pivot, tol=None):
+    """Classify draws, highest-priority class first; returns indices into
+    SINGULAR_KINDS.
 
     Order: FThetaPlus, FThetaMinus, FEtaPlus, FEtaMinus, ZeroPivot,
-    Regular.
+    Regular.  Arguments are scalars or arrays that broadcast together;
+    f_theta may be complex.
     """
+    theta, eta, f_theta, f_eta, pivot = map(np.asarray, (theta, eta, f_theta, f_eta, pivot))
     if tol is None:
         tol = singular_tolerance(theta, f_theta)
-    if abs(f_theta - theta) <= tol:
-        return SingularKind.F_THETA_PLUS
-    if abs(f_theta + theta) <= tol:
-        return SingularKind.F_THETA_MINUS
-    if abs(f_eta - eta) <= tol:
-        return SingularKind.F_ETA_PLUS
-    if abs(f_eta + eta) <= tol:
-        return SingularKind.F_ETA_MINUS
-    if abs(pivot) <= tol:
-        return SingularKind.ZERO_PIVOT
-    return SingularKind.REGULAR
+    hits = [_magnitude(f_theta - theta) <= tol, _magnitude(f_theta + theta) <= tol,
+            _magnitude(f_eta - eta) <= tol, _magnitude(f_eta + eta) <= tol,
+            _magnitude(pivot) <= tol]
+    return np.select(hits, range(len(hits)), _REGULAR).astype(np.int8)
+
+
+def _residual_entries(theta, eta, f_theta, f_eta, f_theta_x, f_theta_y, f_eta_x, f_eta_y,
+                      conjugate=False):
+    """The entries of B C^T (2 hbar)^2 of N draws, shape (N, 4), row-major.
+
+    The two sector blocks are stacked as (N, 2, 2) for one matmul, which
+    rounds every draw as that draw's own 2x2 product does.  ``conjugate``
+    puts conj(f_theta) in the lower-left entry, the imaginary-mode
+    convention.
+    """
+    lower = np.conjugate(f_theta) if conjugate else f_theta
+    B = np.stack(np.broadcast_arrays(f_theta_x, f_theta - theta, lower + theta, f_theta_y), -1)
+    G = np.stack(np.broadcast_arrays(f_eta_x, f_eta - eta, f_eta + eta, f_eta_y), -1)
+    return np.matmul(B.reshape(-1, 2, 2), G.reshape(-1, 2, 2)).reshape(-1, 4)
+
+
+def _residual_scale(*fields):
+    """max(1, largest |field|^2) per draw: the scale the residual is checked against."""
+    m = np.max(np.abs(np.stack(np.broadcast_arrays(*fields))), axis=0)
+    return np.maximum(1.0, m * m)
+
+
+class Completion2D(NamedTuple):
+    """N completed draws and the error of each failed one.
+
+    Every field is a list with one entry per draw: the value a Params2D
+    of that draw holds.  An input given as a scalar is echoed as the
+    caller's own object, as the scalar API did.  Entries of failed
+    draws are placeholders.  ``errors`` maps the index of a failed draw
+    to the exception the scalar call raises for it; draws that fail alike
+    may share one exception object.
+    """
+
+    theta: list
+    eta: list
+    f_theta: list
+    f_eta: list
+    f_theta_x: list
+    f_theta_y: list
+    f_eta_x: list
+    f_eta_y: list
+    hbar: list
+    imaginary_mode: list
+    residual_max: list
+    errors: dict
+
+    def params(self, i):
+        return Params2D(*(getattr(self, name)[i] for name in _PARAMS))
+
+    def docs(self):
+        """params2d_to_doc of every draw; None for a failed one."""
+        draws = zip(*(getattr(self, name) for name in _PARAMS))
+        return [None if i in self.errors else _doc(*values) for i, values in enumerate(draws)]
+
+    def first(self):
+        """The one draw of an N=1 call as Params2D, or its error raised."""
+        if 0 in self.errors:
+            raise self.errors[0]
+        return self.params(0)
+
+
+def complete_2d_batch(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, tol=None, *,
+                      f_theta_y=None, f_theta_imag=0.0):
+    """Complete N draws of the 2D system at once; returns Completion2D.
+
+    Every argument is a scalar or an (N,) array.  A draw with a nonzero
+    (or NaN) f_theta_imag takes the imaginary variant of
+    complete_2d_imaginary, from f_theta_x, with f_theta + i f_theta_imag;
+    every other draw completes from f_theta_y when it is given, else from
+    f_theta_x, as complete_2d does.  Each draw fails exactly as that
+    scalar call would, in the same order of checks, with the same
+    exception and message: a non-finite input, hbar <= 0, a singular
+    class, an overflow, disagreeing pivot routes, a residual above
+    tolerance.  A missing pivot raises ValueError for the whole call.
+    """
+    if f_theta_x is None and f_theta_y is None:
+        raise ValueError(_ONE_PIVOT)
+    raw, n, (t, e, fr, fe, fx, fy, h, fi) = _draws(theta, eta, f_theta, f_eta, f_theta_x,
+                                                   f_theta_y, hbar, f_theta_imag)
+    imag = fi != 0
+    if fx is None and imag.any():
+        raise ValueError("the imaginary variant completes from f_theta_x")
+    by_y = fy is not None
+    pivot_name = np.where(imag | (not by_y), "f_theta_x", "f_theta_y")
+    real_pivot = fy if by_y else fx
+    pivot = np.where(imag, fx, real_pivot) if fx is not None else real_pivot
+
+    with np.errstate(all="ignore"):
+        finite = np.stack([np.isfinite(t), np.isfinite(e), np.isfinite(fr) & np.isfinite(fi),
+                           np.isfinite(fe), np.isfinite(pivot), np.isfinite(h)])
+        any_imag = bool(imag.any())
+        z = _complex(fr, fi)
+        kind = classify_singular_batch(t, e, z if any_imag else fr, fe, pivot, tol)
+
+        # real draws, either pivot
+        minus, plus = fr - t, fr + t
+        f2, t2 = _square(fr), _square(t)
+        sq = (f2 - t2) / real_pivot
+        if by_y:
+            ftx, fty = sq, fy
+            fex = -((fe + e) / plus) * fy
+            route_a = -((fe - e) / minus) * ftx
+            route_b = -plus * (fe - e) / fy
+            fey = route_b
+        else:
+            ftx, fty = fx, sq
+            fey = -((fe - e) / minus) * fx
+            route_a = -((fe + e) / plus) * fty
+            route_b = -minus * (fe + e) / fx
+            fex = route_b
+        gap = np.abs(route_a - route_b)
+        split = gap > ROUTE_AGREEMENT_RTOL * np.maximum(np.maximum(1.0, np.abs(route_a)),
+                                                        np.abs(route_b))
+        fields = (t, e, fr, fe, ftx, fty, fex, fey)
+        resid = np.abs(_residual_entries(*fields)).max(axis=1)
+        overflow = ~(np.isfinite(f2) & np.isfinite(t2))
+
+        if any_imag:  # x pivot; f_theta - theta is (fr - t) + i fi
+            i_fty = (fr * fr - fi * -fi - t2) / fx
+            q = _cquot(fe - e, 0.0, minus, fi)
+            i_fey = _complex(*_cprod(-q[0], -q[1], fx, 0.0))
+            i_fex = _complex(*_cquot(*_cprod(-minus, -fi, fe + e, 0.0), fx, 0.0))
+            i_resid = np.abs(_residual_entries(t, e, z, fe, fx, i_fty, i_fex, i_fey,
+                                               conjugate=True)).max(axis=1)
+            overflow = np.where(imag, ~(np.isfinite(t2) & np.isfinite(i_fty) & np.isfinite(i_fex)
+                                        & np.isfinite(i_fey)), overflow)
+            resid = np.where(imag, i_resid, resid)
+
+        stages = [
+            ~finite.all(axis=0),
+            h <= 0,
+            kind != _REGULAR,
+            overflow,
+            ~imag & split,
+            ~imag & ~np.isfinite(resid),
+            ~imag & (resid > RESIDUAL_TOL * _residual_scale(*fields)),
+        ]
+
+    def non_finite(i):
+        slot = int(np.argmin(finite[:, i]))
+        name = ("theta", "eta", "f_theta", "f_eta", pivot_name[i], "hbar")[slot]
+        value = _item((raw[0], raw[1], raw[2], raw[3],
+                       raw[5] if name == "f_theta_y" else raw[4], raw[6])[slot], i)
+        if slot == 2 and imag[i]:
+            value = complex(value, _item(raw[7], i))
+        return ValueError(f"{name} must be finite, got {value!r}")
+
+    singular = [SingularBranchError(k) for k in SINGULAR_KINDS]
+    overflow_error = ValueError("the completion overflows")
+    errors = _collect_errors(stages, [
+        non_finite,
+        ValueError(HBAR_MESSAGE),
+        lambda i: singular[kind[i]],
+        overflow_error,
+        lambda i: RuntimeError(f"pivot routes disagree by {gap[i]:.3e}"),
+        overflow_error,
+        lambda i: RuntimeError(f"completion residual {resid[i]:.3e} exceeds tolerance"),
+    ])
+
+    if any_imag:
+        imaginary = {"f_theta": z.astype(object), "f_theta_x": fx, "f_theta_y": i_fty,
+                     "f_eta_x": _scalars(i_fex), "f_eta_y": _scalars(i_fey)}
+    else:
+        imaginary = dict.fromkeys(("f_theta", "f_theta_x", "f_theta_y", "f_eta_x", "f_eta_y"))
+    return Completion2D(
+        theta=_column(t, n),
+        eta=_column(e, n),
+        f_theta=_column(raw[2], n, imaginary["f_theta"], imag),
+        f_eta=_column(fe, n),
+        f_theta_x=_column(ftx if by_y else raw[4], n, imaginary["f_theta_x"], imag),
+        f_theta_y=_column(raw[5] if by_y else fty, n, imaginary["f_theta_y"], imag),
+        f_eta_x=_column(fex, n, imaginary["f_eta_x"], imag),
+        f_eta_y=_column(fey, n, imaginary["f_eta_y"], imag),
+        hbar=_column(h, n),
+        imaginary_mode=imag.tolist(),
+        residual_max=resid.tolist(),
+        errors=errors,
+    )
+
+
+def _collect_errors(stages, makers):
+    """Index -> exception of every failed draw; the first stage a draw
+    fails decides.  A maker is either one exception, shared by all the
+    draws its stage fails, or a function of the draw's index."""
+    failed = np.select(stages, list(range(len(stages))), -1)
+    errors = {}
+    for stage, make in enumerate(makers):
+        index = np.flatnonzero(failed == stage).tolist()
+        if isinstance(make, Exception):
+            errors.update(dict.fromkeys(index, make))
+        else:
+            errors.update((i, make(i)) for i in index)
+    return errors
+
+
+def _complex(re, im):
+    # re + i im with both parts kept bit for bit (re + 1j * im is not: inf * 0j is nan)
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real = re
+    z.imag = im
+    return z
+
+
+def _scalars(z):
+    # per-draw Python values, a complex collapsed to float when its imaginary part is zero
+    out = z.astype(object)
+    real = z.imag == 0
+    out[real] = z.real[real]
+    return out
 
 
 def complete_2d(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, tol=None, *, f_theta_y=None):
@@ -120,53 +389,13 @@ def complete_2d(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, tol=None, 
     -((f_eta + eta)/(f_theta + theta)) * f_theta_y and the two values
     must agree to 1e-12 relative.  The y pivot derives the mirrored
     formulas.  Non-regular draws raise SingularBranchError; non-finite
-    arguments, and finite ones whose completion overflows, raise
-    ValueError.
+    arguments, hbar <= 0, and finite arguments whose completion
+    overflows, raise ValueError.  The one-draw call of complete_2d_batch.
     """
-    if (f_theta_x is None) == (f_theta_y is None):
-        raise ValueError("exactly one of f_theta_x, f_theta_y must be given")
-    _check_finite((theta, eta, f_theta, f_eta, f_theta_x, f_theta_y, hbar))
-    pivot = f_theta_x if f_theta_x is not None else f_theta_y
-    kind = classify_singular(theta, eta, f_theta, f_eta, pivot, tol)
-    if kind is not SingularKind.REGULAR:
-        raise SingularBranchError(kind)
-
-    minus = f_theta - theta
-    plus = f_theta + theta
-    if f_theta_x is not None:
-        f_theta_y = (_square(f_theta) - _square(theta)) / f_theta_x
-        f_eta_y = -((f_eta - eta) / minus) * f_theta_x
-        route_a = -((f_eta + eta) / plus) * f_theta_y
-        route_b = -minus * (f_eta + eta) / f_theta_x
-        f_eta_x = route_b
-    else:
-        f_theta_x = (_square(f_theta) - _square(theta)) / f_theta_y
-        f_eta_x = -((f_eta + eta) / plus) * f_theta_y
-        route_a = -((f_eta - eta) / minus) * f_theta_x
-        route_b = -plus * (f_eta - eta) / f_theta_y
-        f_eta_y = route_b
-    gap = abs(route_a - route_b)
-    if gap > ROUTE_AGREEMENT_RTOL * max(1.0, abs(route_a), abs(route_b)):
-        raise RuntimeError(f"pivot routes disagree by {gap:.3e}")
-
-    p = Params2D(
-        theta=float(theta),
-        eta=float(eta),
-        f_theta=_as_scalar(f_theta),
-        f_eta=float(f_eta),
-        f_theta_x=_as_scalar(f_theta_x),
-        f_theta_y=_as_scalar(f_theta_y),
-        f_eta_x=_as_scalar(f_eta_x),
-        f_eta_y=_as_scalar(f_eta_y),
-        hbar=float(hbar),
-    )
-    scale = max(1.0, _residual_scale(p))
-    worst = float(np.abs(residual_2d(p)).max())
-    if not math.isfinite(worst):  # every entry enters the residual
-        raise ValueError("the completion overflows")
-    if worst > RESIDUAL_TOL * scale:
-        raise RuntimeError(f"completion residual {worst:.3e} exceeds tolerance")
-    return p
+    if f_theta_x is not None and f_theta_y is not None:
+        raise ValueError(_ONE_PIVOT)
+    return complete_2d_batch(theta, eta, f_theta, f_eta, f_theta_x, hbar, tol,
+                             f_theta_y=f_theta_y).first()
 
 
 def complete_2d_imaginary(theta, eta, f_theta, f_eta, f_theta_x, hbar=1.0, tol=None):
@@ -178,36 +407,13 @@ def complete_2d_imaginary(theta, eta, f_theta, f_eta, f_theta_x, hbar=1.0, tol=N
         f_theta_y = (f_theta * conj(f_theta) - theta^2) / f_theta_x,
 
     and the off-diagonal momentum-sector entries keep the closed forms
-    evaluated over the complex numbers.  Non-finite arguments and an
-    overflowing completion raise ValueError.
+    evaluated over the complex numbers.  Non-finite arguments, hbar <= 0
+    and an overflowing completion raise ValueError.  The one-draw call
+    of complete_2d_batch.
     """
-    _check_finite((theta, eta, f_theta, f_eta, f_theta_x, None, hbar))
-    f_theta = complex(f_theta)
-    if f_theta.imag == 0.0:
-        return complete_2d(theta, eta, f_theta.real, f_eta, f_theta_x, hbar, tol)
-
-    kind = classify_singular(theta, eta, f_theta, f_eta, f_theta_x, tol)
-    if kind is not SingularKind.REGULAR:
-        raise SingularBranchError(kind)
-
-    minus = f_theta - theta
-    f_theta_y = (f_theta * f_theta.conjugate() - _square(theta)).real / f_theta_x
-    f_eta_y = -((f_eta - eta) / minus) * f_theta_x
-    f_eta_x = -minus * (f_eta + eta) / f_theta_x
-    if not all(map(cmath.isfinite, (f_theta_y, f_eta_x, f_eta_y))):
-        raise ValueError("the completion overflows")
-    return Params2D(
-        theta=float(theta),
-        eta=float(eta),
-        f_theta=f_theta,
-        f_eta=float(f_eta),
-        f_theta_x=float(f_theta_x),
-        f_theta_y=float(f_theta_y),
-        f_eta_x=_as_scalar(f_eta_x),
-        f_eta_y=_as_scalar(f_eta_y),
-        hbar=float(hbar),
-        imaginary_mode=True,
-    )
+    z = complex(f_theta)
+    return complete_2d_batch(theta, eta, z.real, f_eta, f_theta_x, hbar, tol,
+                             f_theta_imag=z.imag).first()
 
 
 def theta_sector_matrix(p, sign=-1):
@@ -242,18 +448,11 @@ def residual_2d(p):
     Real instances return signed entries; imaginary-mode instances
     return entry magnitudes of the conjugate-convention product.
     """
-    Bm = theta_sector_matrix(p, sign=-1)
-    Gm = eta_sector_matrix(p, sign=-1)
-    R = (Bm @ Gm).reshape(-1)
+    fields = (np.atleast_1d(getattr(p, name)) for name in _FIELDS)
+    R = _residual_entries(*fields, conjugate=p.imaginary_mode)[0]
     if p.imaginary_mode:
         return np.abs(R)
     return R.real if np.iscomplexobj(R) else R
-
-
-def _residual_scale(p):
-    vals = [p.theta, p.eta, p.f_theta, p.f_eta, p.f_theta_x, p.f_theta_y, p.f_eta_x, p.f_eta_y]
-    m = max(abs(v) for v in vals)
-    return m * m
 
 
 def maps_2d(p):
@@ -285,15 +484,17 @@ def _decode(v):
     return v
 
 
-_FIELDS = ("theta", "eta", "f_theta", "f_eta", "f_theta_x", "f_theta_y", "f_eta_x", "f_eta_y")
+def _doc(theta, eta, f_theta, f_eta, f_theta_x, f_theta_y, f_eta_x, f_eta_y, hbar,
+         imaginary_mode):
+    return {"theta": _encode(theta), "eta": _encode(eta), "f_theta": _encode(f_theta),
+            "f_eta": _encode(f_eta), "f_theta_x": _encode(f_theta_x),
+            "f_theta_y": _encode(f_theta_y), "f_eta_x": _encode(f_eta_x),
+            "f_eta_y": _encode(f_eta_y), "hbar": hbar, "imaginary_mode": imaginary_mode}
 
 
 def params2d_to_doc(p):
     """The JSON document of ``p`` as a dict; a complex entry is ``[re, im]``."""
-    doc = {name: _encode(getattr(p, name)) for name in _FIELDS}
-    doc["hbar"] = p.hbar
-    doc["imaginary_mode"] = p.imaginary_mode
-    return doc
+    return _doc(*(getattr(p, name) for name in _PARAMS))
 
 
 def params2d_to_json(p):

@@ -256,10 +256,9 @@ MATCH_ARGS = ["match-field", "--alpha-x", "1", "--alpha-y", "2", "--beta-x", "1"
      "--f-theta-x", "3"],
     MATCH_ARGS + ["--c", "0"],
     MATCH_ARGS + ["--m-p", "0"],
-    MATCH_ARGS + ["--hbar", "0"],
     ["simulate", "--scenario", "{zero_e}", "--out", "{out}"],
     ["equivalence", "--scenario", "{zero_e}"],
-], ids=["pivot-routes", "c-0", "m_p-0", "hbar-0", "simulate-e-0", "equivalence-e-0"])
+], ids=["pivot-routes", "c-0", "m_p-0", "simulate-e-0", "equivalence-e-0"])
 def test_runtime_and_zero_division_errors_are_error_reports(argv, scenario, tmp_path):
     zero_e = tmp_path / "zero_e.json"
     doc = json.loads(scenario.read_text())
@@ -272,6 +271,57 @@ def test_runtime_and_zero_division_errors_are_error_reports(argv, scenario, tmp_
     doc = strict_loads(r.stdout)
     assert doc["status"] == "error"
     assert doc["errata_notes"][0].startswith(("RuntimeError", "ZeroDivisionError"))
+
+
+SOLVE2D_ARGS = ["solve2d", "--theta", "1", "--eta", "2", "--f-theta", "2", "--f-eta", "4",
+                "--f-theta-x", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    SOLVE2D_ARGS + ["--hbar", "0"],
+    SOLVE2D_ARGS + ["--hbar", "-1"],
+    SOLVE2D_ARGS + ["--hbar", "-1", "--f-theta-imag", "0.5"],
+    MATCH_ARGS + ["--hbar", "0"],
+    MATCH_ARGS + ["--hbar", "-1"],
+], ids=["solve2d-0", "solve2d-negative", "solve2d-imaginary", "match-field-0",
+        "match-field-negative"])
+def test_nonpositive_hbar_is_an_input_error(argv):
+    # as DeformationParams requires; a negative hbar used to pass, and flip eta
+    r = run_cli(*argv, "--json")
+    assert r.returncode == 2, r.stdout
+    doc = strict_loads(r.stdout)
+    assert doc["status"] == "error"
+    assert doc["errata_notes"] == ["ValueError: hbar must be positive and finite"]
+
+
+def test_nonpositive_hbar_is_an_error_row(tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "task": "match-field",
+        "base": {"alpha_x": 1.0, "alpha_y": 2.0, "beta_x": 1.0, "beta_y": 2.0},
+        "grid": {"hbar": [-1.0, 0.0, 1.0]},
+    }))
+    r = run_cli("sweep", "--config", str(cfg), "--json")
+    assert r.returncode == 1, r.stdout
+    rows = strict_loads(r.stdout)["payload"]["rows"]
+    assert [row["status"] for row in rows] == ["error", "error", "pass"]
+    assert rows[0]["errata_notes"] == ["ValueError: hbar must be positive and finite"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["check-map", "solve3d", "equivalence"])
+def test_bad_tolerance_is_a_usage_error(command, value, sw_fixture, scenario, tmp_path):
+    # a tolerance nothing can meet used to read as a tolerance failure (exit 1)
+    p3 = tmp_path / "p3.json"
+    gen = run_cli("gen3d", "--seed", "1", "--json")
+    p3.write_text(json.dumps(json.loads(gen.stdout)["payload"]))
+    argv = {"check-map": ["--map", str(sw_fixture[0]), "--theta", str(sw_fixture[1])],
+            "solve3d": ["--input", str(p3)],
+            "equivalence": ["--scenario", str(scenario)]}[command]
+    r = run_cli(command, *argv, f"--tol={value}")
+    assert r.returncode == 2, r.stdout
+    assert r.stdout == ""
+    assert "argument --tol: must be finite and non-negative" in r.stderr
 
 
 def test_gen3d_rejects_non_finite_hbar():
@@ -431,6 +481,57 @@ def test_sweep_rejects_oversized_grid(tmp_path):
     r = run_cli("sweep", "--config", str(cfg))
     assert r.returncode == 2
     assert "1e6" in r.stdout
+
+
+@pytest.mark.parametrize("cfg, note", [
+    ({"task": "solve2d", "base": {"theta": 1.0}, "grid": {"eta": [1.0, 2.0]}},
+     "needs 'f_theta'"),
+    ({"task": "solve2d", "base": {"theta": 1.0, "eta": 2.0, "f_theta": 2.0, "f_eta": 4.0},
+      "grid": {"f_theta_imag": [0.0, 0.5]}}, "needs 'f_theta_x'"),
+    ({"task": "solve2d", "base": {"theta": 1.0, "eta": 2.0, "f_theta": 2.0, "f_eta": 4.0,
+                                  "f_theta_y": 1.0, "f_theta_imag": 0.5},
+      "grid": {"theta": [1.0]}}, "needs 'f_theta_x'"),
+    ({"task": "match-field", "base": {"alpha_x": 1.0, "alpha_y": 2.0},
+      "grid": {"beta_x": [1.0]}}, "needs 'beta_y'"),
+    ({"task": "solve2d", "base": {"theta": "1", "eta": 2.0, "f_eta": 4.0, "f_theta_x": 3.0},
+      "grid": {"f_theta": [2.0]}}, "'theta' is not a number"),
+    ({"task": "match-field", "base": {"alpha_x": 1.0, "alpha_y": 2.0, "beta_y": 2.0,
+                                      "hbar": None},
+      "grid": {"beta_x": [1.0]}}, "'hbar' is not a number"),
+    ({"task": "match-field", "base": {"alpha_x": 1.0, "alpha_y": 2.0, "beta_y": 2.0,
+                                      "e": True},
+      "grid": {"beta_x": [1.0]}}, "'e' is not a number"),
+], ids=["missing", "imaginary-needs-x", "imaginary-base-needs-x", "match-field-missing",
+        "string", "null", "bool"])
+def test_sweep_config_is_validated_before_the_grid_runs(cfg, note, tmp_path):
+    # a malformed config is an input error, not one error row per point
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "rows.json"
+    r = run_cli("sweep", "--config", str(path), "--out", str(out), "--json")
+    assert r.returncode == 2, r.stdout
+    doc = strict_loads(r.stdout)
+    assert doc["status"] == "error"
+    assert note in doc["errata_notes"][0]
+    assert not out.exists()
+
+
+def test_closed_stdout_ends_without_a_traceback(tmp_path):
+    # `ncphase sweep ... --json | head -c 300`: the reader leaves early
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "task": "solve2d", "base": {"theta": 1.0, "eta": 2.0, "f_eta": 4.0, "f_theta_x": 3.0},
+        "grid": {"f_theta": {"start": 2.0, "stop": 3.0, "num": 2000}},
+    }))
+    proc = subprocess.Popen(CLI + ["sweep", "--config", str(cfg), "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(300)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT == 141
+    assert head.startswith(b'{"command": "sweep"')
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_sweep_rejects_too_many_axes(tmp_path):

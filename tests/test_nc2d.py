@@ -9,10 +9,11 @@ from numpy.testing import assert_allclose
 
 from ncphase.algebra import DeformationParams, verify_deformation
 from ncphase.nc2d import (
+    SINGULAR_KINDS,
     Params2D,
     SingularBranchError,
     SingularKind,
-    classify_singular,
+    classify_singular_batch,
     complete_2d,
     complete_2d_imaginary,
     maps_2d,
@@ -72,15 +73,20 @@ def test_random_regular_completions():
         assert np.abs(residual_2d(p)).max() <= RESIDUAL_TOL * scale
 
 
+def classify_one(theta, eta, f_theta, f_eta, pivot):
+    (code,) = classify_singular_batch([theta], [eta], [f_theta], [f_eta], [pivot])
+    return SINGULAR_KINDS[code]
+
+
 def test_classification_priority():
-    assert classify_singular(1.0, 0.0, 1.0, 5.0, 1.0) is SingularKind.F_THETA_PLUS
-    assert classify_singular(1.0, 0.0, -1.0, 5.0, 1.0) is SingularKind.F_THETA_MINUS
-    assert classify_singular(1.0, 2.0, 3.0, 2.0, 1.0) is SingularKind.F_ETA_PLUS
-    assert classify_singular(1.0, 2.0, 3.0, -2.0, 1.0) is SingularKind.F_ETA_MINUS
-    assert classify_singular(1.0, 2.0, 3.0, 4.0, 0.0) is SingularKind.ZERO_PIVOT
-    assert classify_singular(1.0, 2.0, 3.0, 4.0, 1.0) is SingularKind.REGULAR
+    assert classify_one(1.0, 0.0, 1.0, 5.0, 1.0) is SingularKind.F_THETA_PLUS
+    assert classify_one(1.0, 0.0, -1.0, 5.0, 1.0) is SingularKind.F_THETA_MINUS
+    assert classify_one(1.0, 2.0, 3.0, 2.0, 1.0) is SingularKind.F_ETA_PLUS
+    assert classify_one(1.0, 2.0, 3.0, -2.0, 1.0) is SingularKind.F_ETA_MINUS
+    assert classify_one(1.0, 2.0, 3.0, 4.0, 0.0) is SingularKind.ZERO_PIVOT
+    assert classify_one(1.0, 2.0, 3.0, 4.0, 1.0) is SingularKind.REGULAR
     # f_theta singularities shadow the eta ones
-    assert classify_singular(1.0, 2.0, 1.0, 2.0, 0.0) is SingularKind.F_THETA_PLUS
+    assert classify_one(1.0, 2.0, 1.0, 2.0, 0.0) is SingularKind.F_THETA_PLUS
 
 
 def test_singular_raises_with_kind():
