@@ -268,6 +268,27 @@ def _is_number(v):
     return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
 
 
+def _axis_length(name, spec):
+    """The point count of one grid axis, read from its spec without
+    building it.  A value that is not a number, a ``num`` that is not a
+    whole number, or an axis without points raises ValueError."""
+    if isinstance(spec, dict):
+        values, num = (spec["start"], spec["stop"]), spec["num"]
+        if not (_is_number(num) and float(num).is_integer()):
+            raise ValueError(f"grid {name!r} num is not a whole number: {num!r}")
+        length = int(num)
+    elif isinstance(spec, list):
+        values, length = spec, len(spec)
+    else:
+        raise ValueError(f"grid {name!r} is neither a list nor a start/stop/num spec: {spec!r}")
+    for v in values:
+        if not _is_number(v):
+            raise ValueError(f"grid value {name!r} is not a number: {v!r}")
+    if length < 1:
+        raise ValueError(f"grid {name!r} has no points")
+    return length
+
+
 def _missing_parameter(task, given, imag_values):
     """The first parameter ``task`` needs that neither base nor grid gives."""
     if task == "match-field":
@@ -282,6 +303,8 @@ def _missing_parameter(task, given, imag_values):
 def _run_sweep(args):
     with open(args["config"]) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        return _report("sweep", "error", notes=["a sweep config is a JSON object"])
     task = cfg.get("task")
     if task not in _SWEEP_TASKS:
         return _report("sweep", "error", notes=[f"unknown sweep task {task!r}"])
@@ -289,16 +312,12 @@ def _run_sweep(args):
     if not 1 <= len(grid) <= 3:
         return _report("sweep", "error", notes=["grid must vary between 1 and 3 parameters"])
     names = sorted(grid)
-    axes = []
-    for name in names:
-        spec = grid[name]
-        if isinstance(spec, dict):
-            axes.append(np.linspace(spec["start"], spec["stop"], int(spec["num"])).tolist())
-        else:
-            axes.append([float(v) for v in spec])
-    total = math.prod(map(len, axes))
+    total = math.prod(_axis_length(name, grid[name]) for name in names)
     if total > SWEEP_MAX_POINTS:
         return _report("sweep", "error", notes=[f"grid of {total} points exceeds the 1e6 cap"])
+    axes = [np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"])).tolist()
+            if isinstance(spec, dict) else [float(v) for v in spec]
+            for spec in (grid[name] for name in names)]
     base = dict(cfg.get("base", {}))
     for name, v in base.items():
         if not _is_number(v):

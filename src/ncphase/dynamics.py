@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import backend
 from .algebra import DeformationParams, antisymmetric_2d
 from .nc2d import (HBAR_MESSAGE, Completion2D, Params2D, _collect_errors, _draws, _item,
                    _residual_entries, _residual_scale, maps_2d)
@@ -412,6 +411,22 @@ def bracket_generator(params):
     return np.block([[params.theta, eye], [-eye, params.eta]])
 
 
+def rk4_trajectory(gen, drift, z0, dt, steps):
+    # classical RK4 on the affine system dz/dt = gen @ z + drift
+    n = z0.shape[0]
+    out = np.empty((steps + 1, n))
+    out[0] = z0
+    z = z0.copy()
+    for i in range(steps):
+        k1 = np.dot(gen, z) + drift
+        k2 = np.dot(gen, z + 0.5 * dt * k1) + drift
+        k3 = np.dot(gen, z + 0.5 * dt * k2) + drift
+        k4 = np.dot(gen, z + dt * k3) + drift
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = z
+    return out
+
+
 def evolve_linear(h, params, z0, dt, steps):
     """RK4 integration of dz/dt = (1/hbar) Omega (S z + offset).
 
@@ -424,7 +439,7 @@ def evolve_linear(h, params, z0, dt, steps):
     if dt * norm >= STABILITY_LIMIT:
         raise StabilityError(f"dt*||K|| = {dt * norm:.3e} exceeds {STABILITY_LIMIT}")
     z0 = np.asarray(z0, dtype=float)
-    states = backend.rk4_trajectory(K, drift, z0, float(dt), int(steps))
+    states = rk4_trajectory(K, drift, z0, float(dt), int(steps))
     times = np.arange(steps + 1) * float(dt)
     return Trajectory(times=times, states=states)
 

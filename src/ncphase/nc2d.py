@@ -14,6 +14,7 @@ Classification and completion are written once, over arrays of draws
 (``classify_singular_batch``, ``complete_2d_batch``); the scalar
 ``complete_2d`` and ``complete_2d_imaginary`` are their one-draw calls.
 """
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import PhaseSpaceMap
+from .algebra import DeformationParams, extended_map
 
 RESIDUAL_TOL = 1e-12
 ROUTE_AGREEMENT_RTOL = 1e-12
@@ -416,32 +417,6 @@ def complete_2d_imaginary(theta, eta, f_theta, f_eta, f_theta_x, hbar=1.0, tol=N
                              f_theta_imag=z.imag).first()
 
 
-def theta_sector_matrix(p, sign=-1):
-    """[[f_tx, f_t -/+ t], [f_t +/- t, f_ty]]; sign=-1 gives f_t - t up top.
-
-    In imaginary mode the lower-left entry carries conj(f_theta), so the
-    assembled block is the Hermitian deformation.
-    """
-    f = p.f_theta
-    lower = f.conjugate() if p.imaginary_mode else f
-    return np.array(
-        [
-            [p.f_theta_x, f + sign * p.theta],
-            [lower - sign * p.theta, p.f_theta_y],
-        ]
-    )
-
-
-def eta_sector_matrix(p, sign=+1):
-    """[[f_ex, f_e +/- e], [f_e -/+ e, f_ey]]; sign=+1 gives f_e + e up top."""
-    return np.array(
-        [
-            [p.f_eta_x, p.f_eta + sign * p.eta],
-            [p.f_eta - sign * p.eta, p.f_eta_y],
-        ]
-    )
-
-
 def residual_2d(p):
     """The four entries of B C^T (2 hbar)^2, row-major.
 
@@ -456,20 +431,21 @@ def residual_2d(p):
 
 
 def maps_2d(p):
-    """The PhaseSpaceMap realizing a completed real instance.
+    """The PhaseSpaceMap realizing a completed real instance: the
+    extended_map of its sector blocks,
 
     A = D = I, B = (f_theta_mat - theta_mat) / (2 hbar),
     C = (f_eta_mat + eta_mat) / (2 hbar).
     """
     if p.imaginary_mode:
         raise ValueError("imaginary-mode parameters do not define a real map")
-    vals = [p.theta, p.eta, p.f_theta, p.f_eta, p.f_theta_x, p.f_theta_y, p.f_eta_x, p.f_eta_y]
-    if not all(np.isfinite(complex(v).real) and np.isfinite(complex(v).imag) for v in vals):
+    vals = [_as_scalar(getattr(p, name)) for name in _FIELDS]
+    if not all(cmath.isfinite(v) for v in vals):
         raise ValueError("incomplete parameter set")
-    B = theta_sector_matrix(p, sign=-1) / (2.0 * p.hbar)
-    C = eta_sector_matrix(p, sign=+1) / (2.0 * p.hbar)
-    eye = np.eye(2)
-    return PhaseSpaceMap(2, eye, B.astype(float), C.astype(float), eye)
+    theta, eta, f_theta, f_eta, f_theta_x, f_theta_y, f_eta_x, f_eta_y = vals
+    return extended_map(DeformationParams.isotropic_2d(theta, eta, p.hbar),
+                        [[f_theta_x, f_theta], [f_theta, f_theta_y]],
+                        [[f_eta_x, f_eta], [f_eta, f_eta_y]])
 
 
 def _encode(v):

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backend
 from .algebra import antisymmetric_3d
 
 FEASIBLE_TOL = 1e-12
@@ -95,9 +94,57 @@ def unpack(x, hbar=1.0):
     )
 
 
+def _block_map():
+    # m[i] = (dF/dx_i, dG/dx_i) for F = f_theta - theta and
+    # G = f_eta - eta over the packed 18-vector of the module docstring.
+    # F and G are linear in x, so (F, G) = x @ m.
+    m = np.zeros((18, 2, 3, 3))
+    for s in (0, 1):
+        sym, anti = 6 * s, 12 + 3 * s
+        for k in range(3):
+            m[sym + k, s, k, k] = 1.0
+        for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+            m[sym + 3 + k, s, i, j] = m[sym + 3 + k, s, j, i] = 1.0
+            m[anti + k, s, i, j] = -1.0
+            m[anti + k, s, j, i] = 1.0
+    return m
+
+
+_BLOCKS = _block_map()
+_BLOCKS_FLAT = _BLOCKS.reshape(18, 18)
+_DF = _BLOCKS[:, 0]
+_DG = _BLOCKS[:, 1]
+
+
+def _blocks(x):
+    x = np.asarray(x, dtype=float)
+    b = (x @ _BLOCKS_FLAT).reshape(x.shape[:-1] + (2, 3, 3))
+    return b[..., 0, :, :], b[..., 1, :, :]
+
+
+def residual3d(x):
+    """(f_theta - theta)(f_eta - eta), row-major, for an (18,) or (N, 18)
+    packed vector; returns shape (9,) or (N, 9)."""
+    F, G = _blocks(x)
+    return (F @ G).reshape(F.shape[:-2] + (9,))
+
+
+def jacobian3d(x):
+    """Exact Jacobian of residual3d and the residual itself.
+
+    The residual F G is affine in every single unknown, so column i is
+    dF/dx_i G + F dG/dx_i.  Returns (J, r) with J of shape (9, 18) and
+    r of shape (9,) for one packed vector, (N, 9, 18) and (N, 9) for N.
+    """
+    F, G = _blocks(x)
+    F1, G1 = F[..., None, :, :], G[..., None, :, :]
+    cols = (_DF @ G1 + F1 @ _DG).reshape(F.shape[:-2] + (18, 9))
+    return np.swapaxes(cols, -1, -2), (F @ G).reshape(F.shape[:-2] + (9,))
+
+
 def residual_3d(p):
     """Nine entries of (f_theta - theta)(f_eta - eta), row-major."""
-    return backend.residual3d(pack(p))
+    return residual3d(pack(p))
 
 
 def residual_scale(p):
@@ -343,7 +390,7 @@ DAMPING_CEIL = 1e4
 
 def solve_3d(p0, frozen=None, tol=1e-10, max_iter=50, trace=False):
     """Damped Newton iteration on the nine residual equations, with the
-    exact Jacobian from backend.jacobian3d.
+    exact Jacobian from jacobian3d.
 
     Frozen unknowns are held at their p0 values.  Steps come from the
     normal equations with a Levenberg damping ladder for singular
@@ -355,12 +402,12 @@ def solve_3d(p0, frozen=None, tol=1e-10, max_iter=50, trace=False):
     mask = frozen_mask(frozen)
     free = np.where(~mask)[0]
     x = pack(p0)
-    r = backend.residual3d(x)
+    r = residual3d(x)
     rnorm = float(np.linalg.norm(r))
     history = [(0, rnorm)] if trace else []
 
     def result(converged, iterations, message=""):
-        r = backend.residual3d(x)
+        r = residual3d(x)
         return SolveResult(
             params=unpack(x, p0.hbar),
             converged=converged,
@@ -377,7 +424,7 @@ def solve_3d(p0, frozen=None, tol=1e-10, max_iter=50, trace=False):
         return result(False, 0, "all unknowns frozen; residual floor cannot move")
 
     for it in range(1, max_iter + 1):
-        J, r = backend.jacobian3d(x)
+        J, r = jacobian3d(x)
         J = J[:, free]
         jnorm = float(np.linalg.norm(J))
         if jnorm == 0.0:
@@ -406,7 +453,7 @@ def solve_3d(p0, frozen=None, tol=1e-10, max_iter=50, trace=False):
         for _ in range(MAX_HALVINGS + 1):
             xt = x.copy()
             xt[free] += step * delta
-            rt = backend.residual3d(xt)
+            rt = residual3d(xt)
             rtnorm = float(np.linalg.norm(rt))
             if rtnorm < rnorm:
                 accepted = True

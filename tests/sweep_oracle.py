@@ -276,7 +276,8 @@ TASKS = {"solve2d": _run_solve2d, "match-field": _run_match_field}
 
 
 def sweep_document(cfg):
-    """The rows document of a valid sweep config, as one strict-JSON string."""
+    """The rows document of a valid sweep config, as one strict-JSON string;
+    for a grid with an empty axis, the input-error report printed instead."""
     grid = cfg["grid"]
     names = sorted(grid)
     axes = []
@@ -286,6 +287,10 @@ def sweep_document(cfg):
             axes.append(np.linspace(spec["start"], spec["stop"], int(spec["num"])).tolist())
         else:
             axes.append([float(v) for v in spec])
+    empty = next((name for name, ax in zip(names, axes) if not ax), None)
+    if empty is not None:
+        report = _report("sweep", "error", notes=[f"ValueError: grid {empty!r} has no points"])
+        return json.dumps(report, sort_keys=True, allow_nan=False)
     base = dict(cfg.get("base", {}))
     finite = all(math.isfinite(v) for ax in axes for v in ax)
     rows = []

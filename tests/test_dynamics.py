@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ncphase import backend
 from ncphase.dynamics import (
     ClosedFormCoeffs,
     DegenerateFieldError,
@@ -23,6 +22,7 @@ from ncphase.dynamics import (
     nc_closed_form,
     nc_free_hamiltonian,
     period,
+    rk4_trajectory,
     simulate_matched,
     time_dependent_ftheta,
     trajectory_to_csv,
@@ -302,7 +302,7 @@ def test_rk4_steps_are_one_affine_map():
     for _ in range(100):
         expected.append(P @ expected[-1] + q)
     expected = np.array(expected)
-    loop = backend.rk4_trajectory(gen, drift, z0, dt, 100)
+    loop = rk4_trajectory(gen, drift, z0, dt, 100)
     assert loop.shape == expected.shape
     assert np.abs(loop - expected).max() <= 1e-13 * np.abs(expected).max()
 

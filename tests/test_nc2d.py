@@ -1,5 +1,7 @@
 """2D completion: worked values, singular classification, imaginary branch."""
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +155,30 @@ def test_maps_rejects_imaginary_mode():
     p = complete_2d_imaginary(1.0, 2.0, 1.0j, 4.0, 1.0)
     with pytest.raises(ValueError):
         maps_2d(p)
+
+
+def test_maps_of_complex_entries_without_imaginary_part():
+    # a real-mode instance built by hand with complex(x, 0.0) entries is
+    # the instance of their real parts, without a ComplexWarning
+    real = complete_2d(1.0, 2.0, 2.0, 4.0, 3.0)
+    fields = {name: complex(getattr(real, name), 0.0)
+              for name in ("theta", "f_theta", "f_eta_x", "f_eta_y")}
+    hand_built = dataclasses.replace(real, **fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = maps_2d(hand_built)
+    want = maps_2d(real)
+    for name in "ABCD":
+        assert np.array_equal(getattr(m, name), getattr(want, name))
+
+
+def test_maps_eta_block_adds_the_zero_diagonal_of_eta():
+    # C = (f_eta_mat + eta_mat) / (2 hbar): a -0.0 diagonal entry plus
+    # eta's +0.0 diagonal reads +0.0
+    p = Params2D(1.0, 2.0, 2.0, 4.0, 3.0, 1.0, -0.0, -0.0)
+    C = maps_2d(p).C
+    assert np.signbit(C.diagonal()).tolist() == [False, False]
+    assert C.tolist() == [[0.0, 3.0], [1.0, 0.0]]
 
 
 def test_json_roundtrip_real_and_complex():

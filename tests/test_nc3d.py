@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ncphase import backend
 from ncphase.nc3d import (
     UNKNOWN_NAMES,
     DegenerateDenominatorError,
@@ -12,9 +11,11 @@ from ncphase.nc3d import (
     eliminate_3d,
     frozen_mask,
     generate_feasible_3d,
+    jacobian3d,
     pack,
     params3d_from_json,
     params3d_to_json,
+    residual3d,
     residual_3d,
     residual_3d_from_aux,
     residual_scale,
@@ -169,7 +170,7 @@ def test_solver_infeasible_frozen_pattern():
 def test_jacobian_rank_at_feasible_points():
     # 9 equations, 18 unknowns, measured rank 7: an 11-dimensional surface
     xs = np.array([pack(generate_feasible_3d(seed)) for seed in range(10)])
-    batched, _ = backend.jacobian3d(xs)
+    batched, _ = jacobian3d(xs)
     for x0, exact_row in zip(xs, batched):
         J = np.empty((9, 18))
         for j in range(18):
@@ -177,10 +178,10 @@ def test_jacobian_rank_at_feasible_points():
             xp[j] += 1e-6
             xm[j] -= 1e-6
             J[:, j] = (residual_3d(unpack(xp)) - residual_3d(unpack(xm))) / 2e-6
-        exact, r = backend.jacobian3d(x0)
+        exact, r = jacobian3d(x0)
         assert np.abs(exact - J).max() <= 1e-7 * np.abs(exact).max()
         assert np.array_equal(exact_row, exact)
-        assert np.array_equal(r, backend.residual3d(x0))
+        assert np.array_equal(r, residual3d(x0))
         for jac in (J, exact):
             s = np.linalg.svd(jac, compute_uv=False)
             assert int((s > 1e-7 * s[0]).sum()) == 7
@@ -225,11 +226,11 @@ def test_batched_residual_matches_oracle(n):
     # bound is a few ulps of the largest possible entry, 12 max|x|^2
     rng = np.random.default_rng(55 + n)
     xs = rng.uniform(-3.0, 3.0, (n, 18))
-    batched = backend.residual3d(xs)
+    batched = residual3d(xs)
     assert batched.shape == (n, 9)
     for x, row in zip(xs, batched):
         assert np.abs(row - residual_oracle(x)).max() <= 1e-14 * np.abs(x).max() ** 2
-        assert np.array_equal(backend.residual3d(x), row)
+        assert np.array_equal(residual3d(x), row)
 
 
 def test_json_roundtrip():

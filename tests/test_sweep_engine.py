@@ -4,11 +4,15 @@
 ``field_to_deformation`` call per grid point.  The streamed ``--out``
 file and the ``--json`` stdout must both equal its document byte for
 byte, across chunk boundaries, singular lines, both pivots, imaginary
-pivots, non-finite literals and every error outcome.
+pivots, non-finite literals and every error outcome.  A config that is
+an input error (a value that is not a number, an empty axis, a grid past
+the point cap) never reaches the engine: it is exit 2 with no rows.
 """
 import contextlib
 import io
 import json
+import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -19,12 +23,14 @@ from hypothesis import strategies as st
 
 from ncphase import cli
 from sweep_oracle import sweep_document
+from test_cli import strict_loads
 
 NAN, INF = float("nan"), float("inf")
 
 
-def sweep(text, out=None):
-    """(exit code, stdout, --out bytes) of an in-process ``sweep --json``."""
+def sweep(text, out=None, warning_filter="error"):
+    """(exit code, stdout, --out bytes or None) of an in-process
+    ``sweep --json``; by default a numpy warning, which would reach stderr, raises."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "sweep.json"
         config.write_text(text)
@@ -33,9 +39,10 @@ def sweep(text, out=None):
             argv += ["--out", str(Path(tmp) / "rows.json")]
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), warnings.catch_warnings():
-            warnings.simplefilter("error")  # a numpy warning would reach stderr
+            warnings.simplefilter(warning_filter)
             code = cli.run(argv)
-        written = (Path(tmp) / "rows.json").read_bytes() if out else None
+        rows = Path(tmp) / "rows.json"
+        written = rows.read_bytes() if rows.exists() else None
     return code, buf.getvalue(), written
 
 
@@ -45,8 +52,11 @@ def assert_matches_oracle(cfg):
     status = json.loads(want)["status"]
     code, stdout, _ = sweep(text)
     assert stdout == want + "\n"
-    assert code == {"pass": 0, "fail": 1}[status]
+    assert code == cli.EXITS[status]
     code, stdout, written = sweep(text, out=True)
+    if status == "error":  # an input error is reported alike with --out, and writes no rows
+        assert (code, stdout, written) == (2, want + "\n", None)
+        return
     assert written == (want + "\n").encode()
     summary = json.loads(stdout)
     assert (code, summary["status"], summary["payload"]) == (cli.EXITS[status], status, {})
@@ -106,6 +116,7 @@ CONFIGS = {
                                   "base": {"alpha_x": 1, "alpha_y": 4, "beta_x": 2,
                                            "beta_y": 8},
                                   "grid": {"f_theta": [0.0, -1.25], "theta": [0.5, NAN]}},
+    # an input error: exit 2 with no rows, whatever the chunk size
     "empty-axis": {"task": "solve2d", "base": dict(SOLVE2D_BASE, f_eta=4.0, f_theta_x=3.0),
                    "grid": {"f_theta": []}},
 }
@@ -189,3 +200,138 @@ def test_drawn_grids_match_the_per_point_path(cfg, chunk):
         assert_matches_oracle(cfg)
     finally:
         cli.SWEEP_CHUNK = old
+
+
+RUNNABLE_BASE = dict(SOLVE2D_BASE, f_eta=4.0, f_theta_x=3.0)
+
+
+def assert_input_error(grid, note):
+    """The config is exit 2 with ``note``, and no --out file is written."""
+    text = json.dumps({"task": "solve2d", "base": RUNNABLE_BASE, "grid": grid})
+    for out in (False, True):
+        code, stdout, written = sweep(text, out=out)
+        assert (code, written) == (2, None), stdout
+        doc = strict_loads(stdout)
+        assert doc["status"] == "error"
+        assert note in doc["errata_notes"][0]
+
+
+@pytest.mark.parametrize("grid", [{"f_theta": []},
+                                  {"f_theta": {"start": 1.0, "stop": 2.0, "num": 0}},
+                                  {"f_theta": [2.0, 3.0], "f_eta": []}],
+                         ids=["empty-list", "num-0", "second-axis"])
+def test_empty_axis_is_an_input_error(grid):
+    assert_input_error(grid, "has no points")
+
+
+@pytest.mark.parametrize("grid, note", [
+    ({"f_theta": ["2.5", True]}, "'f_theta' is not a number: '2.5'"),
+    ({"f_theta": [2.0, True]}, "'f_theta' is not a number: True"),
+    ({"f_theta": [10**400]}, "'f_theta' is not a number: 1000"),
+    ({"f_theta": [2.0, None]}, "'f_theta' is not a number: None"),
+    ({"f_theta": [[2.0]]}, "'f_theta' is not a number: [2.0]"),
+    ({"f_theta": {"start": "1", "stop": 2.0, "num": 3}}, "'f_theta' is not a number: '1'"),
+    ({"f_theta": {"start": 1.0, "stop": -10**400, "num": 3}}, "'f_theta' is not a number: -1000"),
+    ({"f_theta": {"start": 1.0, "stop": 2.0, "num": 2.5}}, "num is not a whole number: 2.5"),
+    ({"f_theta": {"start": 1.0, "stop": 2.0, "num": float("inf")}}, "not a whole number: inf"),
+    ({"f_theta": {"start": 1.0, "stop": 2.0, "num": True}}, "not a whole number: True"),
+    ({"f_theta": {"start": 1.0, "stop": 2.0, "num": -2}}, "has no points"),
+    ({"f_theta": 2.0}, "neither a list nor a start/stop/num spec: 2.0"),
+], ids=["string-and-bool", "bool", "int-beyond-float", "null", "nested-list", "string-start",
+        "int-beyond-float-stop", "fractional-num", "infinite-num", "bool-num", "negative-num",
+        "scalar-axis"])
+def test_grid_values_are_checked_like_base_values(grid, note):
+    assert_input_error(grid, note)
+
+
+@pytest.mark.parametrize("cfg", [[], "sweep", 2.0, None])
+def test_config_that_is_not_an_object_is_an_input_error(cfg):
+    code, stdout, written = sweep(json.dumps(cfg), out=True)
+    assert (code, written) == (2, None)
+    assert strict_loads(stdout)["errata_notes"] == ["a sweep config is a JSON object"]
+
+
+def test_point_cap_is_checked_before_any_axis_is_built(monkeypatch):
+    # an over-cap grid must not allocate its axes: linspace is never called
+    def linspace(*args, **kwargs):
+        raise AssertionError(f"linspace called for an over-cap grid: {args}")
+
+    monkeypatch.setattr(cli.np, "linspace", linspace)
+    for grid in ({"f_theta": {"start": 0.0, "stop": 1.0, "num": 3 * 10**6}},
+                 {"f_eta": {"start": 0.0, "stop": 1.0, "num": 10},
+                  "f_theta": {"start": 0.0, "stop": 1.0, "num": 10**17}},
+                 {"f_theta": {"start": 0.0, "stop": 1.0, "num": 1e300}}):
+        assert_input_error(grid, "exceeds the 1e6 cap")
+
+
+# Values a hand-written config may hold: numbers of every kind, and the
+# JSON values that are not numbers.
+NUMBERS = st.one_of(st.floats(-4.0, 4.0), st.floats(), st.integers(-10, 10),
+                    st.sampled_from([1e300, -1e300, 10**300]))
+NOT_NUMBERS = st.one_of(st.integers(2**1024, 2**1100), st.integers(-2**1100, -2**1024),
+                        st.text(max_size=3), st.booleans(), st.none(),
+                        st.lists(st.floats(-4.0, 4.0), max_size=2),
+                        st.lists(st.lists(st.none(), max_size=1), max_size=1))
+VALUES = st.one_of(NUMBERS, NOT_NUMBERS)
+NUMS = st.one_of(st.integers(-2, 4), st.sampled_from([2.0, 2.5, 0.0, -1.0, float("nan"),
+                                                     float("inf"), 1e300, 10**400, 3 * 10**6]),
+                 NOT_NUMBERS)
+PARAMETERS = {"solve2d": ["theta", "eta", "f_theta", "f_eta", "f_theta_x", "f_theta_y",
+                          "f_theta_imag", "hbar"],
+              "match-field": ["alpha_x", "alpha_y", "beta_x", "beta_y", "e", "c", "m_p",
+                              "f_theta", "theta", "hbar"]}
+REQUIRED = {"solve2d": 5, "match-field": 4}  # the leading names of PARAMETERS
+AXES = st.one_of(
+    st.lists(NUMBERS, min_size=1, max_size=3),
+    st.fixed_dictionaries({"start": NUMBERS, "stop": NUMBERS, "num": st.integers(1, 4)}),
+    st.lists(VALUES, max_size=3),
+    st.fixed_dictionaries({"start": VALUES, "stop": VALUES, "num": NUMS}),
+    VALUES,
+)
+
+
+@st.composite
+def hand_written_configs(draw):
+    # every required parameter in base, then a few drawn from any value
+    task = draw(st.sampled_from(sorted(PARAMETERS)))
+    names = PARAMETERS[task]
+    base = {name: draw(NUMBERS) for name in names[:REQUIRED[task]]}
+    base.update(draw(st.dictionaries(st.sampled_from(names), VALUES, max_size=2)))
+    axes = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    return {"task": task, "base": base, "grid": {name: draw(AXES) for name in axes}}
+
+
+def is_number(v):
+    return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
+
+
+def is_input_error(cfg):
+    """A base or grid value that is not a number, an axis without points,
+    or more points than the cap."""
+    if not all(is_number(v) for v in cfg["base"].values()):
+        return True
+    points = 1
+    for spec in cfg["grid"].values():
+        if isinstance(spec, dict):
+            num = spec["num"]
+            whole = is_number(num) and math.isfinite(num) and num == int(num)
+            if not (whole and num >= 1 and is_number(spec["start"]) and is_number(spec["stop"])):
+                return True
+            points *= int(num)
+        elif not isinstance(spec, list) or not spec or not all(map(is_number, spec)):
+            return True
+        else:
+            points *= len(spec)
+    return points > cli.SWEEP_MAX_POINTS
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=hand_written_configs(), out=st.booleans())
+def test_hand_written_sweep_configs_never_escape(cfg, out):
+    # whatever the config holds: an exit code of the contract, strict JSON
+    # on stdout, and exit 2 for exactly the configs that are input errors
+    code, stdout, _ = sweep(json.dumps(cfg), out=out, warning_filter="ignore")
+    assert code in (0, 1, 2)
+    doc = strict_loads(stdout)
+    assert doc["command"] == "sweep"
+    assert (code == 2) == is_input_error(cfg), doc["errata_notes"]
