@@ -29,6 +29,8 @@ ETA_UPPER_BOUND = 1.76e-61
 # singular rather than inverted.
 COND_CUTOFF = 1e12
 
+HBAR_MESSAGE = "hbar must be positive and finite"
+
 
 class NonAntisymmetricInputError(ValueError):
     """Raised when a matrix that must satisfy m = -m^T does not."""
@@ -102,7 +104,7 @@ class DeformationParams:
         if self.dim < 1:
             raise DimensionMismatchError("dim must be >= 1")
         if not 0 < self.hbar < np.inf:
-            raise ValueError("hbar must be positive and finite")
+            raise ValueError(HBAR_MESSAGE)
         theta = _frozen_array(self.theta, (self.dim, self.dim))
         eta = _frozen_array(self.eta, (self.dim, self.dim))
         _require_finite(theta, "theta")

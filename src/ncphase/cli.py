@@ -218,9 +218,8 @@ def _run_simulate(args):
         )
     except (NonMatchableError, DegenerateFieldError) as err:
         return _report("simulate", "error", notes=[f"{type(err).__name__}: {err}"])
-    text = trajectory_to_csv(traj)
     with open(args["out"], "w") as fh:
-        fh.write(text)
+        trajectory_to_csv(traj, fh)
     metrics = {
         "rows": int(traj.times.size),
         "dt": float(traj.times[1] - traj.times[0]),
@@ -369,6 +368,14 @@ def _run_sweep(args):
 # ---------------------------------------------------------------------------
 
 
+def count(text):
+    """argparse type of --max-iter: a non-negative whole number."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative count, got {text!r}")
+    return n
+
+
 def tolerance(text):
     """argparse type of --tol: a finite, non-negative float."""
     tol = float(text)
@@ -401,7 +408,7 @@ def _build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--frozen", default="")
     p.add_argument("--tol", type=tolerance, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--max-iter", type=count, default=50)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--out")
 

@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import DeformationParams, antisymmetric_2d
-from .nc2d import (HBAR_MESSAGE, Completion2D, Params2D, _collect_errors, _draws, _item,
-                   _residual_entries, _residual_scale, maps_2d)
+from .algebra import HBAR_MESSAGE, DeformationParams, antisymmetric_2d
+from .nc2d import (Completion2D, Params2D, _collect_errors, _draws, _item, _residual_entries,
+                   _residual_scale, maps_2d)
 
 PROPORTIONALITY_RTOL = 1e-12
 MATCH_RESIDUAL_TOL = 1e-12
@@ -70,18 +70,15 @@ class FieldConfig:
         """Cyclotron frequency -(e / (c m_p)) b_z."""
         return -(self.e / (self.c * self.m_p)) * self.b_z
 
-    def is_zero(self):
-        return self.alpha_x == self.alpha_y == self.beta_x == self.beta_y == 0.0
-
-    def is_matchable(self, rtol=PROPORTIONALITY_RTOL):
-        return bool(_proportional(self.alpha_x, self.alpha_y, self.beta_x, self.beta_y, rtol))
+    def is_matchable(self):
+        return bool(_proportional(self.alpha_x, self.alpha_y, self.beta_x, self.beta_y))
 
 
-def _proportional(ax, ay, bx, by, rtol=PROPORTIONALITY_RTOL):
-    # beta_y / beta_x == alpha_y / alpha_x to rtol, without dividing
+def _proportional(ax, ay, bx, by):
+    # beta_y / beta_x == alpha_y / alpha_x to PROPORTIONALITY_RTOL, without dividing
     scale = np.maximum(np.maximum(np.abs(ax), np.abs(ay)), np.maximum(np.abs(bx), np.abs(by)))
     scale = np.maximum(scale, 1.0)
-    return np.abs(by * ax - ay * bx) <= rtol * scale * scale
+    return np.abs(by * ax - ay * bx) <= PROPORTIONALITY_RTOL * scale * scale
 
 
 @dataclass(frozen=True)
@@ -286,20 +283,15 @@ def field_to_deformation(field, f_theta, hbar=1.0, theta=0.0):
     )
 
 
-def nc_free_hamiltonian(match, params2d=None, mass_ratio=1.0):
+def nc_free_hamiltonian(match):
     """The free deformed-operator Hamiltonian written in commutative
-    variables: 0.5 |C x + D p|^2 / (mass_ratio * m_p).
+    variables: 0.5 |C x + D p|^2 / m_p, with C, D the matched map.
 
-    For a matched configuration with mass_ratio 1 this equals
-    magnetic_hamiltonian(match.field) coefficient by coefficient.
+    It equals magnetic_hamiltonian(match.field) coefficient by coefficient.
     """
-    if params2d is None:
-        params2d = match.params2d
-    if params2d.eta != match.eta or params2d.f_eta != match.f_eta:
-        raise ValueError("params2d momentum sector inconsistent with the match")
-    m = maps_2d(params2d)
+    m = maps_2d(match.params2d)
     CD = np.hstack([m.C, m.D])
-    S = CD.T @ CD / (mass_ratio * match.field.m_p)
+    S = CD.T @ CD / match.field.m_p
     return QuadraticForm(S=S, offset=np.zeros(4))
 
 
@@ -430,9 +422,11 @@ def rk4_trajectory(gen, drift, z0, dt, steps):
 def evolve_linear(h, params, z0, dt, steps):
     """RK4 integration of dz/dt = (1/hbar) Omega (S z + offset).
 
-    The step must satisfy dt * ||Omega S / hbar|| < 0.1 (spectral norm);
-    larger steps raise StabilityError.
+    dt must be positive and finite (else ValueError) and satisfy
+    dt * ||Omega S / hbar|| < 0.1 (spectral norm), else StabilityError.
     """
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     K = bracket_generator(params) @ h.S / params.hbar
     drift = bracket_generator(params) @ h.offset / params.hbar
     norm = np.linalg.norm(K, 2)
@@ -621,18 +615,16 @@ def approach_two_ftheta(u, c_minus):
 # Trajectory CSV (write-only interface).
 
 CSV_HEADER = "t,x,y,px,py,xhat,yhat,pxhat,pyhat"
+# rows per tolist() call: the writer's memory is one chunk, whatever the step count
+CSV_CHUNK = 8192
 
 
-def _fmt(v):
-    return repr(float(v))
-
-
-def trajectory_to_csv(traj):
-    """Render a trajectory as CSV text with shortest round-trip decimals."""
-    lines = [CSV_HEADER]
-    has_nc = traj.nc_states is not None
-    for i, t in enumerate(traj.times):
-        row = [_fmt(t)] + [_fmt(v) for v in traj.states[i]]
-        row += [_fmt(v) for v in traj.nc_states[i]] if has_nc else ["", "", "", ""]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def trajectory_to_csv(traj, fh):
+    """Write a trajectory with both column sets to the open text file
+    ``fh`` as CSV, each value its float repr (the shortest decimal that
+    round-trips), a chunk of rows at a time."""
+    fh.write(CSV_HEADER + "\n")
+    for start in range(0, traj.times.size, CSV_CHUNK):
+        rows = slice(start, start + CSV_CHUNK)
+        chunk = np.column_stack([traj.times[rows], traj.states[rows], traj.nc_states[rows]])
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in chunk.tolist())

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import DeformationParams, extended_map
+from .algebra import HBAR_MESSAGE, DeformationParams, extended_map
 
 RESIDUAL_TOL = 1e-12
 ROUTE_AGREEMENT_RTOL = 1e-12
@@ -69,7 +69,6 @@ class Params2D:
 _FIELDS = ("theta", "eta", "f_theta", "f_eta", "f_theta_x", "f_theta_y", "f_eta_x", "f_eta_y")
 _PARAMS = _FIELDS + ("hbar", "imaginary_mode")
 _ONE_PIVOT = "exactly one of f_theta_x, f_theta_y must be given"
-HBAR_MESSAGE = "hbar must be positive and finite"
 
 
 def _as_scalar(v):
@@ -145,21 +144,20 @@ def _cquot(ar, ai, br, bi):
 
 
 def singular_tolerance(theta, f_theta):
-    """Default absolute tolerance for singular-class detection."""
+    """The absolute tolerance of singular-class detection."""
     return 1e-10 * np.maximum(np.maximum(_magnitude(theta), _magnitude(f_theta)), 1.0)
 
 
-def classify_singular_batch(theta, eta, f_theta, f_eta, pivot, tol=None):
+def classify_singular_batch(theta, eta, f_theta, f_eta, pivot):
     """Classify draws, highest-priority class first; returns indices into
     SINGULAR_KINDS.
 
     Order: FThetaPlus, FThetaMinus, FEtaPlus, FEtaMinus, ZeroPivot,
-    Regular.  Arguments are scalars or arrays that broadcast together;
-    f_theta may be complex.
+    Regular, each detected to singular_tolerance.  Arguments are scalars
+    or arrays that broadcast together; f_theta may be complex.
     """
     theta, eta, f_theta, f_eta, pivot = map(np.asarray, (theta, eta, f_theta, f_eta, pivot))
-    if tol is None:
-        tol = singular_tolerance(theta, f_theta)
+    tol = singular_tolerance(theta, f_theta)
     hits = [_magnitude(f_theta - theta) <= tol, _magnitude(f_theta + theta) <= tol,
             _magnitude(f_eta - eta) <= tol, _magnitude(f_eta + eta) <= tol,
             _magnitude(pivot) <= tol]
@@ -226,7 +224,7 @@ class Completion2D(NamedTuple):
         return self.params(0)
 
 
-def complete_2d_batch(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, tol=None, *,
+def complete_2d_batch(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, *,
                       f_theta_y=None, f_theta_imag=0.0):
     """Complete N draws of the 2D system at once; returns Completion2D.
 
@@ -257,7 +255,7 @@ def complete_2d_batch(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, tol=
                            np.isfinite(fe), np.isfinite(pivot), np.isfinite(h)])
         any_imag = bool(imag.any())
         z = _complex(fr, fi)
-        kind = classify_singular_batch(t, e, z if any_imag else fr, fe, pivot, tol)
+        kind = classify_singular_batch(t, e, z if any_imag else fr, fe, pivot)
 
         # real draws, either pivot
         minus, plus = fr - t, fr + t
@@ -376,7 +374,7 @@ def _scalars(z):
     return out
 
 
-def complete_2d(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, tol=None, *, f_theta_y=None):
+def complete_2d(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, *, f_theta_y=None):
     """Complete the regular 2D instance from one diagonal pivot.
 
     Exactly one of f_theta_x, f_theta_y must be given.  With the x
@@ -395,11 +393,11 @@ def complete_2d(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, tol=None, 
     """
     if f_theta_x is not None and f_theta_y is not None:
         raise ValueError(_ONE_PIVOT)
-    return complete_2d_batch(theta, eta, f_theta, f_eta, f_theta_x, hbar, tol,
+    return complete_2d_batch(theta, eta, f_theta, f_eta, f_theta_x, hbar,
                              f_theta_y=f_theta_y).first()
 
 
-def complete_2d_imaginary(theta, eta, f_theta, f_eta, f_theta_x, hbar=1.0, tol=None):
+def complete_2d_imaginary(theta, eta, f_theta, f_eta, f_theta_x, hbar=1.0):
     """Completion variant admitting complex f_theta.
 
     A purely real f_theta reduces exactly to complete_2d.  Otherwise the
@@ -413,7 +411,7 @@ def complete_2d_imaginary(theta, eta, f_theta, f_eta, f_theta_x, hbar=1.0, tol=N
     of complete_2d_batch.
     """
     z = complex(f_theta)
-    return complete_2d_batch(theta, eta, z.real, f_eta, f_theta_x, hbar, tol,
+    return complete_2d_batch(theta, eta, z.real, f_eta, f_theta_x, hbar,
                              f_theta_imag=z.imag).first()
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import antisymmetric_3d
+from .algebra import HBAR_MESSAGE, antisymmetric_3d
 
 FEASIBLE_TOL = 1e-12
 GAP_TOL = 1e-10
@@ -70,8 +70,8 @@ class Params3D:
                 raise ValueError(f"{name} must be finite, got {v!r}")
             object.__setattr__(self, name, v)
         hbar = float(self.hbar)
-        if not math.isfinite(hbar):
-            raise ValueError(f"hbar must be finite, got {hbar!r}")
+        if not 0.0 < hbar < math.inf:
+            raise ValueError(HBAR_MESSAGE)
         object.__setattr__(self, "hbar", hbar)
 
 
@@ -250,22 +250,20 @@ class EliminationResult:
         return self.max_gap <= GAP_TOL
 
 
-def eliminate_3d(p, tol=None):
+def eliminate_3d(p):
     """Evaluate the elimination identities for f_eta_x, f_eta_y, f_eta_z.
 
     Each diagonal entry has three equivalent expressions in the
     remaining unknowns; their mutual gaps (and the gap to the stored
-    value) vanish exactly on feasible instances.  Degenerate
-    denominators raise, naming the offending quantity.
+    value) vanish exactly on feasible instances.  A denominator within
+    1e-10 max(1, largest |unknown|) of zero raises, naming it.
     """
     t1, t2, t3 = p.theta
     e1, e2, e3 = p.eta
     ftx, fty, ftz = p.f_theta_diag
     ft1, ft2, ft3 = p.f_theta_off
     fe1, fe2, fe3 = p.f_eta_off
-    if tol is None:
-        scale = max(1.0, max(abs(v) for v in pack(p)))
-        tol = 1e-10 * scale
+    tol = 1e-10 * max(1.0, max(abs(v) for v in pack(p)))
 
     denoms = {
         "f_theta_1 + theta_1": ft1 + t1,

@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from csv_oracle import trajectory_csv
 from ncphase import cli
 from ncphase.algebra import DeformationParams, map_to_json, params_to_json, sw_map
-from ncphase.dynamics import FieldConfig, period
+from ncphase.dynamics import CSV_CHUNK, ClosedFormCoeffs, FieldConfig, period, simulate_matched
 
 CLI = [sys.executable, "-m", "ncphase.cli"]
 
@@ -188,6 +189,44 @@ def test_simulate_default_dt_is_period_over_4096(scenario, tmp_path):
     assert metrics["dt"] == period(field) / 4096
 
 
+@pytest.mark.parametrize("steps", [1, CSV_CHUNK - 1, CSV_CHUNK + 1])
+def test_simulate_csv_matches_the_per_value_oracle(steps, scenario, tmp_path):
+    # the chunked writer against the per-value one it replaced, on the
+    # trajectory simulate_matched integrates for the same scenario
+    out = tmp_path / "traj.csv"
+    r = run_cli("simulate", "--scenario", str(scenario), "--out", str(out),
+                "--steps", str(steps))
+    assert r.returncode == 0, r.stdout
+    doc = json.loads(scenario.read_text())
+    field = FieldConfig(**doc["field"])
+    coeffs = ClosedFormCoeffs.for_field(field, **doc["coeffs"])
+    traj, _ = simulate_matched(field, coeffs, hbar=doc["params"]["hbar"], steps=steps)
+    assert out.read_text() == trajectory_csv(traj)
+
+
+@pytest.mark.parametrize("dt", ["nan", "0", "-0.01", "inf"])
+def test_simulate_step_must_be_positive_and_finite(dt, scenario, tmp_path):
+    # --dt nan used to pass and write rows of nan; 0 and -0.01 failed only
+    # through the trajectory's increasing-times check
+    out = tmp_path / "traj.csv"
+    r = run_cli("simulate", "--scenario", str(scenario), "--out", str(out), "--dt", dt, "--json")
+    assert r.returncode == 2, r.stdout
+    doc = strict_loads(r.stdout)
+    assert doc["errata_notes"] == [f"ValueError: dt must be positive and finite, got {float(dt)!r}"]
+    assert not out.exists()
+
+
+def test_equivalence_nan_step_is_an_input_error(scenario, tmp_path):
+    # a scenario "dt": NaN used to end as a tolerance failure (exit 1)
+    # with null deviations
+    nan_dt = tmp_path / "nan_dt.json"
+    nan_dt.write_text(json.dumps(dict(json.loads(scenario.read_text()), dt=float("nan"))))
+    r = run_cli("equivalence", "--scenario", str(nan_dt), "--json")
+    assert r.returncode == 2, r.stdout
+    assert strict_loads(r.stdout)["errata_notes"] == [
+        "ValueError: dt must be positive and finite, got nan"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "equivalence"])
 def test_zero_steps_is_an_input_error(command, scenario, tmp_path):
     # only a missing count selects the default; 0 from the scenario or the
@@ -328,6 +367,41 @@ def test_gen3d_rejects_non_finite_hbar():
     r = run_cli("gen3d", "--seed", "1", "--hbar", "nan", "--json")
     assert r.returncode == 2
     assert json.loads(r.stdout)["status"] == "error"
+
+
+@pytest.mark.parametrize("hbar", ["0", "-2"])
+def test_nonpositive_hbar_is_a_3d_input_error(hbar, tmp_path):
+    # gen3d and solve3d used to accept hbar <= 0 and report it in the payload
+    r = run_cli("gen3d", "--seed", "1", "--hbar", hbar, "--json")
+    assert r.returncode == 2, r.stdout
+    assert strict_loads(r.stdout)["errata_notes"] == ["ValueError: hbar must be positive and finite"]
+    doc = strict_loads(run_cli("gen3d", "--seed", "1", "--json").stdout)["payload"]
+    doc["hbar"] = float(hbar)
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("solve3d", "--input", str(path), "--json")
+    assert r.returncode == 2, r.stdout
+    assert strict_loads(r.stdout)["errata_notes"] == ["ValueError: hbar must be positive and finite"]
+
+
+@pytest.mark.parametrize("value, message", [
+    ("-3", "argument --max-iter: must be a non-negative count, got '-3'"),
+    ("2.5", "argument --max-iter: invalid count value: '2.5'"),
+])
+def test_solve3d_max_iter_is_a_count(value, message, tmp_path):
+    # a negative limit used to run no iteration and report iterations = -3
+    # as a tolerance failure
+    doc = strict_loads(run_cli("gen3d", "--seed", "1", "--json").stdout)["payload"]
+    doc["theta"][0] += 0.1
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("solve3d", "--input", str(path), "--max-iter", value)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert message in r.stderr
+    r = run_cli("solve3d", "--input", str(path), "--max-iter", "0", "--json")
+    assert r.returncode == 1
+    assert strict_loads(r.stdout)["metrics"]["iterations"] == 0
 
 
 def test_gen3d_deterministic_by_seed(tmp_path):

@@ -1,9 +1,14 @@
 """Field matching, closed forms, the integrator, and time-dependent laws."""
+import io
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from csv_oracle import trajectory_csv
+
 from ncphase.dynamics import (
+    CSV_CHUNK,
     ClosedFormCoeffs,
     DegenerateFieldError,
     FieldConfig,
@@ -161,6 +166,16 @@ def test_stability_guard():
         evolve_linear(h, params, np.array([1.0, 0.0, 0.0, 0.0]), dt=10.0, steps=4)
 
 
+@pytest.mark.parametrize("dt", [float("nan"), 0.0, -0.01, float("inf"), float("-inf")])
+def test_step_must_be_positive_and_finite(dt):
+    # a NaN dt slipped past the stability guard (nan * norm >= 0.1 is
+    # false) and integrated a trajectory of NaN
+    h = magnetic_hamiltonian(MATCH_FIELD)
+    params = DeformationParams.commutative(2)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        evolve_linear(h, params, np.array([1.0, 0.0, 0.0, 0.0]), dt=dt, steps=4)
+
+
 def test_trajectory_requires_increasing_times():
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.0, 0.0, 1.0]), states=np.zeros((3, 4)))
@@ -265,23 +280,45 @@ def test_time_dependent_rejects_vanishing_u():
         time_dependent_ftheta(u, c_minus=1.0, c_plus=1.0)
 
 
+def csv_text(traj):
+    fh = io.StringIO()
+    trajectory_to_csv(traj, fh)
+    return fh.getvalue()
+
+
 def test_csv_format():
     field = MATCH_FIELD
     cf = coeffs_for(field)
     traj, _ = simulate_matched(field, cf, steps=8)
-    text = trajectory_to_csv(traj)
+    text = csv_text(traj)
     lines = text.strip().split("\n")
     assert lines[0] == "t,x,y,px,py,xhat,yhat,pxhat,pyhat"
     assert len(lines) == 10
     first = lines[1].split(",")
     assert len(first) == 9
     assert first[0] == "0.0"
+    assert text == trajectory_csv(traj)
 
 
-def test_csv_without_nc_states():
-    traj = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 4)))
-    lines = trajectory_to_csv(traj).strip().split("\n")
-    assert lines[1].endswith(",,,,")
+# values whose repr is easy to get wrong: signed zero, subnormals, the
+# largest magnitudes, non-finite values, and a shortest round trip
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -1.5e-310, 1e300, -1.7976931348623157e308,
+                  float("nan"), float("inf"), float("-inf"), 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("rows", [1, 2, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 2 * CSV_CHUNK + 3])
+def test_csv_writer_matches_the_per_value_oracle(rows):
+    rng = np.random.default_rng(rows)
+    times = np.arange(rows) * 0.37
+    times[0] = -0.0
+    values = rng.normal(size=(rows, 8)) * 10.0 ** rng.integers(-300, 300, size=(rows, 8))
+    flat = values.reshape(-1)
+    specials = rng.choice(flat.size, size=min(flat.size, 4 * len(SPECIAL_VALUES)), replace=False)
+    flat[specials] = np.resize(SPECIAL_VALUES, specials.size)
+    traj = Trajectory(times=times, states=values[:, :4], nc_states=values[:, 4:])
+    text = csv_text(traj)
+    assert text == trajectory_csv(traj)
+    assert text.count("\n") == rows + 1
 
 
 def test_rk4_steps_are_one_affine_map():
