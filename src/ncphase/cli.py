@@ -7,17 +7,18 @@ a non-finite metric reads null.  Identical inputs produce byte-identical
 output; randomness enters only through --seed.
 """
 import argparse
-import itertools
+import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import __version__
 from .algebra import map_from_json, params_from_json, verify_deformation
-from .nc2d import SingularBranchError, complete_2d_batch
+from .nc2d import Params2D, SingularBranchError, complete_2d_batch, params2d_to_doc
 from .nc3d import generate_feasible_3d, params3d_from_json, params3d_to_doc, residual_3d, solve_3d
 from .dynamics import (DEFAULT_STEPS, ClosedFormCoeffs, DegenerateFieldError, FieldConfig,
                        NonMatchableError, equivalence_check, field_to_deformation_batch,
@@ -96,27 +97,70 @@ def _error_note(err):
     return f"{type(err).__name__}: {err}"
 
 
-# Row builders: the reports of n points at once, one per point.  Each
-# column is a scalar or an (n,) array; the single commands are n = 1.
+# Row builders: the pass report of one draw from its values, ``v``
+# mapping each column of the task's batch result to the draw's value.
+# The single commands call them on their one draw; the sweep calls them
+# once, on placeholders, and fills the row text they dump from columns.
 
 
-def _solve2d_rows(cols, n):
+_PARAMS2D = tuple(field.name for field in dataclasses.fields(Params2D))
+
+
+def _error_row(task, note):
+    return _report(task, "error", notes=[note])
+
+
+def _columns(batch, prefix=""):
+    return {prefix + name: col for name, col in batch._asdict().items() if name != "errors"}
+
+
+def _solve2d_batch(cols):
+    """(errors by draw index, result columns as lists) of the draws whose
+    inputs ``cols`` holds, each a scalar or an (n,) array."""
     done = complete_2d_batch(cols["theta"], cols["eta"], cols["f_theta"], cols["f_eta"],
                              cols.get("f_theta_x"), cols.get("hbar", 1.0),
                              f_theta_y=cols.get("f_theta_y"),
                              f_theta_imag=cols.get("f_theta_imag", 0.0))
-    rows = []
-    for i, (doc, residual) in enumerate(zip(done.docs(), done.residual_max)):
-        err = done.errors.get(i)
-        if err is None:
-            rows.append(_report("solve2d", "pass", {"residual_max": residual}, doc))
-        else:
-            rows.append(_report("solve2d", "error", notes=[_error_note(err)]))
-    return rows
+    return done.errors, _columns(done)
+
+
+def _solve2d_row(v):
+    p = Params2D(*(v[name] for name in _PARAMS2D))
+    return _report("solve2d", "pass", {"residual_max": v["residual_max"]}, params2d_to_doc(p))
+
+
+def _match_field_batch(cols):
+    get = cols.get
+    match = field_to_deformation_batch(cols["alpha_x"], cols["alpha_y"], cols["beta_x"],
+                                       cols["beta_y"], get("e", 1.0), get("c", 1.0),
+                                       get("m_p", 1.0), get("f_theta", 0.0), get("hbar", 1.0),
+                                       get("theta", 0.0))
+    columns = _columns(match)
+    columns.update(_columns(columns.pop("params2d"), "params2d."))
+    b_z = cols["alpha_y"] - cols["beta_x"]  # of two scalars, a Python number as FieldConfig.b_z
+    columns["b_z"] = [b_z] * len(match.eta) if np.ndim(b_z) == 0 else b_z.tolist()
+    return match.errors, columns
+
+
+def _match_field_row(v):
+    p = Params2D(*(v["params2d." + name] for name in _PARAMS2D))
+    payload = {"eta": v["eta"], "f_eta": v["f_eta"], "kx": v["kx"], "ky": v["ky"],
+               "b_z": v["b_z"], "params2d": params2d_to_doc(p)}
+    metrics = {"eta": v["eta"], "omega_commutative": v["omega_commutative"],
+               "omega_nc": v["omega_nc"]}
+    return _report("match-field", "pass", metrics, payload, [MATCH_PAIRING_NOTE])
+
+
+def _run_one(task, args):
+    batch, row = _SWEEP_TASKS[task]
+    errors, columns = batch(args)
+    if errors:
+        return _error_row(task, _error_note(errors[0]))
+    return row({name: col[0] for name, col in columns.items()})
 
 
 def _run_solve2d(args):
-    return _solve2d_rows(args, 1)[0]
+    return _run_one("solve2d", args)
 
 
 def _run_gen3d(args):
@@ -153,48 +197,34 @@ def _run_solve3d(args):
     return _report("solve3d", "pass" if res.converged else "fail", metrics, payload, notes)
 
 
-def _match_field_rows(cols, n):
-    get = cols.get
-    match = field_to_deformation_batch(cols["alpha_x"], cols["alpha_y"], cols["beta_x"],
-                                       cols["beta_y"], get("e", 1.0), get("c", 1.0),
-                                       get("m_p", 1.0), get("f_theta", 0.0), get("hbar", 1.0),
-                                       get("theta", 0.0))
-    b_z = cols["alpha_y"] - cols["beta_x"]  # of two scalars, a Python number as FieldConfig.b_z
-    b_z = [b_z] * n if np.ndim(b_z) == 0 else b_z.tolist()
-    rows = []
-    columns = zip(match.eta, match.f_eta, match.kx, match.ky, b_z, match.params2d.docs(),
-                  match.omega_commutative, match.omega_nc)
-    for i, (eta, f_eta, kx, ky, bz, doc, omega_c, omega_nc) in enumerate(columns):
-        err = match.errors.get(i)
-        if err is not None:
-            rows.append(_report("match-field", "error", notes=[_error_note(err)]))
-            continue
-        payload = {"eta": eta, "f_eta": f_eta, "kx": kx, "ky": ky, "b_z": bz, "params2d": doc}
-        metrics = {"eta": eta, "omega_commutative": omega_c, "omega_nc": omega_nc}
-        rows.append(_report("match-field", "pass", metrics, payload, [MATCH_PAIRING_NOTE]))
-    return rows
-
-
 def _run_match_field(args):
-    return _match_field_rows(args, 1)[0]
+    return _run_one("match-field", args)
 
 
 def _load_scenario(path):
     with open(path) as fh:
         doc = json.load(fh)
     field = FieldConfig(**doc["field"])
-    c = doc.get("coeffs", {})
+    c, params = doc.get("coeffs", {}), doc.get("params", {})
+    for name, value in (("coeffs", c), ("params", params)):
+        if not isinstance(value, dict):
+            raise ValueError(f"scenario {name} is not a JSON object: {value!r}")
+    dt = doc.get("dt")
+    if not (dt is None or _is_number(dt)):
+        raise ValueError(f"scenario dt is neither a number nor null: {dt!r}")
     coeffs = ClosedFormCoeffs.for_field(
         field, c.get("x1", 0.0), c.get("x2", 0.0), c.get("x3", 0.0), c.get("y3", 0.0)
     )
-    params = doc.get("params", {})
-    return field, coeffs, params, doc.get("dt"), doc.get("steps")
+    return field, coeffs, params, dt, doc.get("steps")
 
 
 def _step_count(steps):
-    # None selects the default; an explicit count must be at least 1
+    # None selects the default; an explicit count is a whole number (4096.0
+    # is one, 12.7, "12" and true are not) of at least 1
     if steps is None:
         return DEFAULT_STEPS
+    if not (_is_number(steps) and float(steps).is_integer()):
+        raise ValueError(f"steps must be a whole number, got {steps!r}")
     steps = int(steps)
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
@@ -255,11 +285,15 @@ def _run_equivalence(args):
                    notes=rep.errata_notes)
 
 
-_SWEEP_TASKS = {"solve2d": _solve2d_rows, "match-field": _match_field_rows}
+# per task: its batched call, (errors, columns) of n draws, and its row builder
+_SWEEP_TASKS = {"solve2d": (_solve2d_batch, _solve2d_row),
+                "match-field": (_match_field_batch, _match_field_row)}
 SWEEP_MAX_POINTS = 1_000_000
 # grid points per batched call: large enough that numpy, not dispatch,
 # does the work, small enough that memory stays flat up to the 1e6 cap
 SWEEP_CHUNK = 8192
+# rows rendered and written at once; only this many rows' text is held
+SWEEP_SLICE = 1024
 
 
 def _is_number(v):
@@ -288,6 +322,15 @@ def _axis_length(name, spec):
     return length
 
 
+# the inputs each task's batched call reads
+_SWEEP_PARAMETERS = {
+    "solve2d": {"theta", "eta", "f_theta", "f_eta", "f_theta_x", "f_theta_y", "f_theta_imag",
+                "hbar"},
+    "match-field": {"alpha_x", "alpha_y", "beta_x", "beta_y", "e", "c", "m_p", "f_theta",
+                    "theta", "hbar"},
+}
+
+
 def _missing_parameter(task, given, imag_values):
     """The first parameter ``task`` needs that neither base nor grid gives."""
     if task == "match-field":
@@ -299,6 +342,130 @@ def _missing_parameter(task, given, imag_values):
     return next((name for name in needed if name not in given), None)
 
 
+class _Slots(dict):
+    """Row builder values that are placeholders, each named after its column."""
+
+    def __missing__(self, name):
+        return f"\0{name}\0"
+
+
+_SLOT = re.compile(r'"\\u0000(.*?)\\u0000"')  # a placeholder as _dumps writes it
+
+
+def _template(row, names):
+    """(format string, its columns, the columns that must be finite) of a
+    row: the builder's report, dumped with placeholders and split where
+    they are.  The point and the metrics read null where not finite."""
+    row["point"] = {name: f"\0point.{name}\0" for name in names}
+    text = _SLOT.split(_dumps(row))
+    form = "{}".join(part.replace("{", "{{").replace("}", "}}") for part in text[::2])
+    return form, text[1::2], set(_SLOT.findall(_dumps(row["payload"])))
+
+
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
+_TEXT = {float: float.__repr__, int: int.__repr__, bool: ("false", "true").__getitem__}
+
+
+def _texts(values, nullable):
+    """Each value as _dumps writes it in a row; a complex is [re, im].  A
+    non-finite float reads null if ``nullable``, else raises ValueError."""
+    kinds = set(map(type, values))
+    text = _TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    if text is None:  # mixed types: complex entries of imaginary draws, say
+        values = [[v.real, v.imag] if type(v) is complex else v for v in values]
+        return [_dumps(_finite_or_none(v) if nullable else v) for v in values]
+    out = list(map(text, values))
+    if _NON_FINITE.isdisjoint(out):
+        return out
+    if not nullable:
+        _dumps(float(next(t for t in out if t in _NON_FINITE)))  # raises ValueError
+    return ["null" if t in _NON_FINITE else t for t in out]
+
+
+class _Sweep:
+    """The rows of a sweep, computed a chunk of grid points at a time and
+    rendered from each chunk's batch columns a slice of rows at a time."""
+
+    def __init__(self, task, base, names, axes):
+        self.base, self.names = base, names
+        self.axes = [np.array(ax, dtype=float) for ax in axes]
+        self.batch, row = _SWEEP_TASKS[task]
+        self.passed = _template(row(_Slots()), names)
+        self.failed = _template(_error_row(task, "\0note\0"), names)
+
+    def chunks(self):
+        """(n, errors, columns) of each chunk of n grid points, in grid
+        order: the last axis varies fastest."""
+        shape = [ax.size for ax in self.axes]
+        total = math.prod(shape)
+        for start in range(0, total, SWEEP_CHUNK):
+            index = np.unravel_index(np.arange(start, min(start + SWEEP_CHUNK, total)), shape)
+            point = [ax[i] for ax, i in zip(self.axes, index)]
+            cols = dict(self.base)
+            cols.update(zip(self.names, point))
+            errors, columns = self.batch(cols)
+            columns.update((f"point.{name}", p.tolist()) for name, p in zip(self.names, point))
+            yield index[0].size, errors, columns
+
+    def status(self):
+        """The sweep's status from the batched calls alone, without rendering."""
+        return "fail" if any(errors for _, errors, _ in self.chunks()) else "pass"
+
+    def write(self, fh):
+        """Write the rows, comma-separated; return the sweep's status."""
+        status, sep = "pass", ""
+        for n, errors, columns in self.chunks():
+            if errors:  # each note encoded once per exception object
+                status = "fail"
+                notes = {err: _dumps(_error_note(err)) for err in set(errors.values())}
+                columns["note"] = {i: notes[err] for i, err in errors.items()}
+            for start in range(0, n, SWEEP_SLICE):
+                stop = min(start + SWEEP_SLICE, n)
+                fh.write(sep + ", ".join(self._rows(errors, columns, start, stop)))
+                sep = ", "
+        return status
+
+    def _rows(self, errors, columns, start, stop):
+        """The row texts of draws start..stop-1, in grid order."""
+        draws = range(start, stop)
+        passed = self._fill(self.passed, columns, [i for i in draws if i not in errors])
+        failed = self._fill(self.failed, columns, [i for i in draws if i in errors])
+        return [next(failed) if i in errors else next(passed) for i in draws]
+
+    @staticmethod
+    def _fill(template, columns, index):
+        """The template's rows of the draws ``index``, each column rendered once."""
+        form, names, strict = template
+        if not index:
+            return iter(())
+        texts = {}
+        for name in set(names):
+            values = list(map(columns[name].__getitem__, index))
+            texts[name] = values if name == "note" else _texts(values, name not in strict)
+        return map(form.format, *(texts[name] for name in names))
+
+
+def _write(report, as_json, fh):
+    """Write ``report`` and a newline to ``fh``; return its status.  A
+    sweep's rows (a _Sweep payload) are streamed where the document holds
+    them, and its status follows from them; text mode prints the status
+    first, so there a first pass of the batched calls finds it."""
+    sweep = report["payload"].get("rows")
+    if not isinstance(sweep, _Sweep):
+        fh.write(_render(report, as_json) + "\n")
+        return report["status"]
+
+    def document(status):  # the report, split where its rows go
+        doc = dict(report, status=status, payload={"rows": [None]})
+        return _render(doc, as_json).split("null")
+
+    status = None if as_json else sweep.status()  # JSON puts "status" after the rows
+    fh.write(document(status)[0])
+    status = sweep.write(fh)
+    fh.write(document(status)[1] + "\n")
+    return status
+
+
 def _run_sweep(args):
     with open(args["config"]) as fh:
         cfg = json.load(fh)
@@ -307,7 +474,11 @@ def _run_sweep(args):
     task = cfg.get("task")
     if task not in _SWEEP_TASKS:
         return _report("sweep", "error", notes=[f"unknown sweep task {task!r}"])
-    grid = cfg.get("grid", {})
+    grid, base = cfg.get("grid", {}), cfg.get("base", {})
+    for field, value in (("grid", grid), ("base", base)):
+        if not isinstance(value, dict):
+            return _report("sweep", "error",
+                           notes=[f"sweep {field} is not a JSON object: {value!r}"])
     if not 1 <= len(grid) <= 3:
         return _report("sweep", "error", notes=["grid must vary between 1 and 3 parameters"])
     names = sorted(grid)
@@ -317,51 +488,26 @@ def _run_sweep(args):
     axes = [np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"])).tolist()
             if isinstance(spec, dict) else [float(v) for v in spec]
             for spec in (grid[name] for name in names)]
-    base = dict(cfg.get("base", {}))
     for name, v in base.items():
         if not _is_number(v):
             return _report("sweep", "error", notes=[f"base value {name!r} is not a number: {v!r}"])
+    unknown = sorted((set(base) | set(names)) - _SWEEP_PARAMETERS[task])
+    if unknown:  # a misspelt name would run every point alike
+        return _report("sweep", "error",
+                       notes=[f"sweep task {task} has no parameter {unknown[0]!r}"])
     imag = dict(zip(names, axes)).get("f_theta_imag", [base.get("f_theta_imag", 0.0)])
     missing = _missing_parameter(task, set(base) | set(names), imag)
     if missing is not None:
         return _report("sweep", "error",
                        notes=[f"sweep task {task} needs {missing!r} in base or grid"])
 
-    finite = all(math.isfinite(v) for ax in axes for v in ax)
-    points = itertools.product(*axes)  # the last axis varies fastest
-    blocks = iter(lambda: list(itertools.islice(points, SWEEP_CHUNK)), [])
-    statuses = set()
-
-    def rows_of(block):  # the rows of one chunk of grid points, in grid order
-        cols = dict(base)
-        cols.update(zip(names, np.array(block).T))
-        rows = _SWEEP_TASKS[task](cols, len(block))
-        for row, values in zip(rows, block):
-            point = dict(zip(names, values))
-            row["point"] = point if finite else {k: _finite_or_none(v) for k, v in point.items()}
-            statuses.add(row["status"])
-        return rows
-
+    # The rows are streamed, to --out or to stdout alike; with --out,
+    # stdout carries the summary report
+    report = _report("sweep", None, {"points": total}, {"rows": _Sweep(task, base, names, axes)})
     if not args.get("out"):
-        rows = [row for block in blocks for row in rows_of(block)]
-        status = "pass" if statuses == {"pass"} else "fail"
-        return _report("sweep", status, {"points": total}, {"rows": rows})
-
-    def document(status):  # the rows document, split where its rows go
-        return _dumps(_report("sweep", status, {"points": total}, {"rows": [None]})).split("null")
-
-    # The rows go to the file only, one chunk at a time, each chunk's rows
-    # freed once dumped; stdout carries the summary.  Sorted keys put
-    # "status" after the rows, so it is written last.
+        return report
     with open(args["out"], "w") as fh:
-        fh.write(document("pass")[0])
-        for k, block in enumerate(blocks):
-            if k:
-                fh.write(", ")
-            fh.write(_dumps(rows_of(block))[1:-1])
-        status = "pass" if statuses == {"pass"} else "fail"
-        fh.write(document(status)[1])
-        fh.write("\n")
+        status = _write(report, True, fh)
     return _report("sweep", status, {"points": total})
 
 
@@ -471,14 +617,14 @@ def run(argv=None):
     ns = _PARSER.parse_args(argv)
     args = {k: v for k, v in vars(ns).items() if k not in ("command", "as_json")}
     try:
-        report = _HANDLERS[ns.command](args)
-        text = _render(report, ns.as_json)
+        status = _write(_HANDLERS[ns.command](args), ns.as_json, sys.stdout)
+    except BrokenPipeError:
+        raise  # a closed stdout: main() ends with EXIT_CLOSED_STDOUT
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError, RuntimeError,
             ZeroDivisionError) as err:
         report = _report(ns.command, "error", notes=[f"{type(err).__name__}: {err}"])
-        text = _render(report, ns.as_json)
-    print(text)
-    return EXITS[report["status"]]
+        status = _write(report, ns.as_json, sys.stdout)
+    return EXITS[status]
 
 
 def main():

@@ -42,7 +42,7 @@ class DegenerateFieldError(ValueError):
 
 
 class StabilityError(ValueError):
-    """Step size too large for the integrator guard dt * ||K|| < 0.1."""
+    """Step size too large for the integrator guard dt * rho(K) < 0.1."""
 
 
 @dataclass(frozen=True)
@@ -423,15 +423,18 @@ def evolve_linear(h, params, z0, dt, steps):
     """RK4 integration of dz/dt = (1/hbar) Omega (S z + offset).
 
     dt must be positive and finite (else ValueError) and satisfy
-    dt * ||Omega S / hbar|| < 0.1 (spectral norm), else StabilityError.
+    dt * rho(K) < 0.1, else StabilityError, where rho(K) is the spectral
+    radius of K = Omega S / hbar.  K mixes units (1/m_p beside
+    (e/c)^2 alpha^2 / m_p), so its norm changes when the units do; its
+    eigenvalues, the rates the trajectory rotates and grows at, do not.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     K = bracket_generator(params) @ h.S / params.hbar
     drift = bracket_generator(params) @ h.offset / params.hbar
-    norm = np.linalg.norm(K, 2)
-    if dt * norm >= STABILITY_LIMIT:
-        raise StabilityError(f"dt*||K|| = {dt * norm:.3e} exceeds {STABILITY_LIMIT}")
+    rho = np.abs(np.linalg.eigvals(K)).max()
+    if dt * rho >= STABILITY_LIMIT:
+        raise StabilityError(f"dt*rho(K) = {dt * rho:.3e} exceeds {STABILITY_LIMIT}")
     z0 = np.asarray(z0, dtype=float)
     states = rk4_trajectory(K, drift, z0, float(dt), int(steps))
     times = np.arange(steps + 1) * float(dt)

@@ -212,11 +212,6 @@ class Completion2D(NamedTuple):
     def params(self, i):
         return Params2D(*(getattr(self, name)[i] for name in _PARAMS))
 
-    def docs(self):
-        """params2d_to_doc of every draw; None for a failed one."""
-        draws = zip(*(getattr(self, name) for name in _PARAMS))
-        return [None if i in self.errors else _doc(*values) for i, values in enumerate(draws)]
-
     def first(self):
         """The one draw of an N=1 call as Params2D, or its error raised."""
         if 0 in self.errors:
@@ -458,17 +453,11 @@ def _decode(v):
     return v
 
 
-def _doc(theta, eta, f_theta, f_eta, f_theta_x, f_theta_y, f_eta_x, f_eta_y, hbar,
-         imaginary_mode):
-    return {"theta": _encode(theta), "eta": _encode(eta), "f_theta": _encode(f_theta),
-            "f_eta": _encode(f_eta), "f_theta_x": _encode(f_theta_x),
-            "f_theta_y": _encode(f_theta_y), "f_eta_x": _encode(f_eta_x),
-            "f_eta_y": _encode(f_eta_y), "hbar": hbar, "imaginary_mode": imaginary_mode}
-
-
 def params2d_to_doc(p):
     """The JSON document of ``p`` as a dict; a complex entry is ``[re, im]``."""
-    return _doc(*(getattr(p, name) for name in _PARAMS))
+    doc = {name: _encode(getattr(p, name)) for name in _FIELDS}
+    doc.update(hbar=p.hbar, imaginary_mode=p.imaginary_mode)
+    return doc
 
 
 def params2d_to_json(p):

@@ -6,7 +6,8 @@ A copy of the scalar 2D completion (``classify_singular``,
 ``_run_solve2d`` / ``_run_match_field`` once per grid point, as they
 were before the engine became batched.  ``sweep_document(cfg)`` gives
 the exact text ``sweep --json`` printed for ``cfg`` (without the final
-newline), which is also the text of the ``--out`` file.
+newline), which is also the text of the ``--out`` file; ``render`` gives
+the text of a report either way, ``--json`` or not.
 
 Two inputs are outside its scope, because the batched engine answers
 them differently on purpose: ``hbar <= 0`` (an input error now) and a
@@ -275,9 +276,9 @@ def _run_match_field(args):
 TASKS = {"solve2d": _run_solve2d, "match-field": _run_match_field}
 
 
-def sweep_document(cfg):
-    """The rows document of a valid sweep config, as one strict-JSON string;
-    for a grid with an empty axis, the input-error report printed instead."""
+def sweep_report(cfg):
+    """The report of a valid sweep config, rows and all; for a grid with an
+    empty axis, the input-error report printed instead."""
     grid = cfg["grid"]
     names = sorted(grid)
     axes = []
@@ -289,8 +290,7 @@ def sweep_document(cfg):
             axes.append([float(v) for v in spec])
     empty = next((name for name, ax in zip(names, axes) if not ax), None)
     if empty is not None:
-        report = _report("sweep", "error", notes=[f"ValueError: grid {empty!r} has no points"])
-        return json.dumps(report, sort_keys=True, allow_nan=False)
+        return _report("sweep", "error", notes=[f"ValueError: grid {empty!r} has no points"])
     base = dict(cfg.get("base", {}))
     finite = all(math.isfinite(v) for ax in axes for v in ax)
     rows = []
@@ -305,5 +305,21 @@ def sweep_document(cfg):
         row["point"] = point if finite else {k: _finite_or_none(v) for k, v in point.items()}
         rows.append(row)
     status = "pass" if {row["status"] for row in rows} == {"pass"} else "fail"
-    report = _report("sweep", status, {"points": math.prod(map(len, axes))}, {"rows": rows})
-    return json.dumps(report, sort_keys=True, allow_nan=False)
+    return _report("sweep", status, {"points": math.prod(map(len, axes))}, {"rows": rows})
+
+
+def render(report, as_json):
+    """The text the CLI printed for ``report``, without the final newline."""
+    if as_json:
+        return json.dumps(report, sort_keys=True, allow_nan=False)
+    lines = [f"command: {report['command']}", f"status: {report['status']}"]
+    lines += [f"{k} = {report['metrics'][k]!r}" for k in sorted(report["metrics"])]
+    lines += [f"note: {note}" for note in report["errata_notes"]]
+    if report["payload"]:
+        lines.append(json.dumps(report["payload"], sort_keys=True, allow_nan=False))
+    return "\n".join(lines)
+
+
+def sweep_document(cfg):
+    """The text ``sweep --json`` printed for ``cfg``, without the final newline."""
+    return render(sweep_report(cfg), True)

@@ -228,6 +228,41 @@ def test_equivalence_nan_step_is_an_input_error(scenario, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "equivalence"])
+@pytest.mark.parametrize("field, value, note", [
+    ("coeffs", [1, 2], "scenario coeffs is not a JSON object: [1, 2]"),
+    ("params", [1], "scenario params is not a JSON object: [1]"),
+    ("steps", 1e400, "steps must be a whole number, got inf"),
+    ("steps", 12.7, "steps must be a whole number, got 12.7"),
+    ("steps", True, "steps must be a whole number, got True"),
+    ("steps", "12", "steps must be a whole number, got '12'"),
+    ("dt", True, "scenario dt is neither a number nor null: True"),
+], ids=["coeffs-list", "params-list", "steps-overflow", "steps-fraction", "steps-bool",
+        "steps-string", "dt-bool"])
+def test_scenario_fields_have_their_types(command, field, value, note, scenario, tmp_path,
+                                          capsys):
+    # a list for coeffs or params was an AttributeError traceback, steps
+    # 1e400 an OverflowError one; 12.7 ran 12 steps, true 1 and "12" 12
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(json.loads(scenario.read_text()), **{field: value})))
+    out = tmp_path / "traj.csv"
+    argv = [command, "--scenario", str(bad), "--json"]
+    code = cli.run(argv + (["--out", str(out)] if command == "simulate" else []))
+    assert code == 2
+    assert strict_loads(capsys.readouterr().out)["errata_notes"] == [f"ValueError: {note}"]
+    assert not out.exists()
+
+
+def test_integral_float_steps_stay_a_count(scenario, tmp_path, capsys):
+    # JSON does not tell 12 from 12.0: a float with no fraction is a count
+    doc = tmp_path / "float_steps.json"
+    doc.write_text(json.dumps(dict(json.loads(scenario.read_text()), steps=12.0)))
+    code = cli.run(["simulate", "--scenario", str(doc), "--out", str(tmp_path / "t.csv"),
+                    "--json"])
+    assert code == 0
+    assert strict_loads(capsys.readouterr().out)["metrics"]["steps"] == 12
+
+
+@pytest.mark.parametrize("command", ["simulate", "equivalence"])
 def test_zero_steps_is_an_input_error(command, scenario, tmp_path):
     # only a missing count selects the default; 0 from the scenario or the
     # flag must not silently run 4096 steps
@@ -605,6 +640,26 @@ def test_closed_stdout_ends_without_a_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT == 141
     assert head.startswith(b'{"command": "sweep"')
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+@pytest.mark.parametrize("as_json", [["--json"], []], ids=["json", "text"])
+def test_closed_stdout_during_a_streamed_sweep(as_json, tmp_path):
+    # rows now stream to stdout a slice at a time: the reader leaves while
+    # later chunks are still to be written
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "task": "solve2d", "base": {"theta": 1.0, "eta": 2.0, "f_eta": 4.0, "f_theta_x": 3.0},
+        "grid": {"f_theta": {"start": 2.0, "stop": 3.0, "num": 2 * cli.SWEEP_CHUNK + 1}},
+    }))
+    proc = subprocess.Popen(CLI + ["sweep", "--config", str(cfg)] + as_json,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(300)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT
+    assert head.startswith(b'{"command": "sweep"' if as_json else b"command: sweep\nstatus: pass")
     assert "Traceback" not in err and "Exception ignored" not in err, err
 
 

@@ -162,8 +162,17 @@ def test_stability_guard():
     field = MATCH_FIELD
     h = magnetic_hamiltonian(field)
     params = DeformationParams.commutative(2)
-    with pytest.raises(StabilityError):
+    with pytest.raises(StabilityError, match=r"dt\*rho\(K\) = "):
         evolve_linear(h, params, np.array([1.0, 0.0, 0.0, 0.0]), dt=10.0, steps=4)
+
+
+@pytest.mark.parametrize("s", [1e-2, 1.0, 1e2])
+def test_step_guard_does_not_depend_on_the_gauge_units(s):
+    # dt * ||K|| read 0.102 at s = 1e-2 and 0.639 at s = 1e2, so the norm
+    # guard refused both; dt * rho(K) is 2 pi / 4096 at every s
+    field = FieldConfig(alpha_x=s, alpha_y=2.0 * s, beta_x=0.5 * s, beta_y=s)
+    rep = equivalence_check(field, coeffs_for(field))
+    assert rep.passed, rep.deviations
 
 
 @pytest.mark.parametrize("dt", [float("nan"), 0.0, -0.01, float("inf"), float("-inf")])

@@ -1,10 +1,11 @@
 """The batched sweep engine against the per-point path it replaced.
 
-``sweep_oracle.sweep_document`` is the old loop: one ``complete_2d`` /
+``sweep_oracle.sweep_report`` is the old loop: one ``complete_2d`` /
 ``field_to_deformation`` call per grid point.  The streamed ``--out``
-file and the ``--json`` stdout must both equal its document byte for
-byte, across chunk boundaries, singular lines, both pivots, imaginary
-pivots, non-finite literals and every error outcome.  A config that is
+file, the ``--json`` stdout and the text stdout must all equal its
+rendering byte for byte, across chunk and slice boundaries, singular
+lines, both pivots, imaginary pivots, non-finite literals and every
+error outcome.  A config that is
 an input error (a value that is not a number, an empty axis, a grid past
 the point cap) never reaches the engine: it is exit 2 with no rows.
 """
@@ -22,19 +23,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncphase import cli
-from sweep_oracle import sweep_document
+from ncphase.nc2d import complete_2d_batch
+from sweep_oracle import render, sweep_report
 from test_cli import strict_loads
 
 NAN, INF = float("nan"), float("inf")
 
 
-def sweep(text, out=None, warning_filter="error"):
+def sweep(text, out=None, warning_filter="error", as_json=True):
     """(exit code, stdout, --out bytes or None) of an in-process
     ``sweep --json``; by default a numpy warning, which would reach stderr, raises."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "sweep.json"
         config.write_text(text)
-        argv = ["sweep", "--config", str(config), "--json"]
+        argv = ["sweep", "--config", str(config)] + (["--json"] if as_json else [])
         if out:
             argv += ["--out", str(Path(tmp) / "rows.json")]
         buf = io.StringIO()
@@ -48,11 +50,13 @@ def sweep(text, out=None, warning_filter="error"):
 
 def assert_matches_oracle(cfg):
     text = json.dumps(cfg)
-    want = sweep_document(json.loads(text))
-    status = json.loads(want)["status"]
+    report = sweep_report(json.loads(text))
+    want, status = render(report, True), report["status"]
     code, stdout, _ = sweep(text)
     assert stdout == want + "\n"
     assert code == cli.EXITS[status]
+    code, stdout, _ = sweep(text, as_json=False)  # the status line comes before the rows
+    assert (code, stdout) == (cli.EXITS[status], render(report, False) + "\n")
     code, stdout, written = sweep(text, out=True)
     if status == "error":  # an input error is reported alike with --out, and writes no rows
         assert (code, stdout, written) == (2, want + "\n", None)
@@ -144,6 +148,106 @@ def test_grid_larger_than_one_chunk(cfg):
         points *= spec["num"] if isinstance(spec, dict) else len(spec)
     assert points > cli.SWEEP_CHUNK
     assert_matches_oracle(cfg)
+
+
+def singular_axis(points):
+    """``points`` f_theta values for theta = 1: every 7th is 1.0 (FThetaPlus),
+    every 11th -1.0 (FThetaMinus), the rest complete."""
+    return [1.0 if i % 7 == 3 else -1.0 if i % 11 == 5 else 1.5 + i / points
+            for i in range(points)]
+
+
+SLICE = cli.SWEEP_SLICE
+INTEGER_BASE = {"theta": 1, "eta": 2, "f_eta": 4, "f_theta_x": 3, "hbar": 2}
+# Rows are rendered and written SWEEP_SLICE rows at a time: each case puts
+# slice boundaries inside runs of pass and error rows.  The value is the
+# config and the SWEEP_CHUNK it runs with.
+WRITER_CASES = {
+    "slice-minus-one": ({"task": "solve2d", "base": INTEGER_BASE,
+                         "grid": {"f_theta": singular_axis(SLICE - 1)}}, cli.SWEEP_CHUNK),
+    "slice": ({"task": "solve2d", "base": INTEGER_BASE,
+               "grid": {"f_theta": singular_axis(SLICE)}}, cli.SWEEP_CHUNK),
+    "slice-plus-one": ({"task": "solve2d", "base": INTEGER_BASE,
+                        "grid": {"f_theta": singular_axis(SLICE + 1)}}, cli.SWEEP_CHUNK),
+    # chunks of 2 slices and 3 rows, then a last chunk of 5 rows
+    "chunk-not-a-slice-multiple": ({"task": "solve2d", "base": dict(INTEGER_BASE, theta=1.0),
+                                    "grid": {"f_theta": singular_axis(4 * SLICE + 11)}},
+                                   2 * SLICE + 3),
+    # NonMatchableError and DegenerateFieldError rows, each kind one shared exception
+    "shared-errors": ({"task": "match-field",
+                       "base": {"alpha_x": 1, "beta_x": 2, "theta": 0.25, "hbar": 2},
+                       "grid": {"alpha_y": [0.0, 1.0, -2.0], "beta_y": [2.0, 3.0, -4.0],
+                                "f_theta": {"start": -2.0, "stop": 2.0, "num": 150}}},
+                      cli.SWEEP_CHUNK),
+    "imaginary": ({"task": "solve2d", "base": {"theta": 1.0, "eta": 2.0, "f_eta": 4.0,
+                                               "f_theta_x": 3.0, "f_theta_y": 1.5},
+                   "grid": {"f_theta_imag": [0.0, 0.5, -2.0, 1e-300],
+                            "f_theta": singular_axis(300)}}, cli.SWEEP_CHUNK),
+    "non-finite": ({"task": "solve2d", "base": dict(SOLVE2D_BASE, f_eta=4.0, f_theta_y=1.5),
+                    # real draws complete from f_theta_y, so a NaN f_theta_x is
+                    # a null in the points of pass rows
+                    "grid": {"f_theta": [NAN, 2.0, INF, 2.5, -INF] * 205,
+                             "f_theta_x": [1.0, NAN]}}, cli.SWEEP_CHUNK),
+    # omega_commutative and omega_nc overflow: null metrics in pass rows
+    "null-metrics": ({"task": "match-field",
+                      "base": {"alpha_x": 1e150, "alpha_y": 2e150, "beta_x": 1e150,
+                               "beta_y": 2e150},
+                      "grid": {"m_p": [1e-300, 1.0], "hbar": [1e-10, 1.0],
+                               "f_theta": {"start": -1.0, "stop": 1.0, "num": 300}}},
+                     cli.SWEEP_CHUNK),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # from the oracle's numpy
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_streamed_rows_match_the_per_point_path(name, monkeypatch):
+    cfg, chunk = WRITER_CASES[name]
+    monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+    assert_matches_oracle(cfg)
+
+
+def test_error_rows_can_share_one_exception():
+    # the case "shared-errors" and the singular lines above rely on this
+    done = complete_2d_batch(1.0, 2.0, [1.0, 1.0, 2.0, -1.0, 1.0], 4.0, 3.0)
+    errors = list(done.errors.values())
+    assert len(errors) == 4 and errors[0] is errors[1] is errors[3]
+
+
+def test_stdout_is_written_a_slice_at_a_time(tmp_path, monkeypatch):
+    # no write holds more than one slice of rows, whatever the sink
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"task": "solve2d", "base": INTEGER_BASE,
+                                  "grid": {"f_theta": singular_axis(3 * SLICE)}}))
+    writes = []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    for as_json in (["--json"], []):
+        writes.clear()
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert cli.run(["sweep", "--config", str(config)] + as_json) == 1
+        assert len(writes) >= 3 + 2 and max(writes) < sum(writes) / 2.5
+
+
+def test_non_finite_payload_in_a_pass_row_is_an_error(monkeypatch):
+    # the writer never writes NaN or Infinity: such a row ends the sweep with exit 2
+    batch, row = cli._SWEEP_TASKS["solve2d"]
+
+    def broken(cols):
+        errors, columns = batch(cols)
+        columns["f_eta_x"] = [NAN] * len(columns["f_eta_x"])
+        return errors, columns
+
+    monkeypatch.setitem(cli._SWEEP_TASKS, "solve2d", (broken, row))
+    cfg = {"task": "solve2d", "base": dict(SOLVE2D_BASE, f_eta=4.0, f_theta_x=3.0),
+           "grid": {"f_theta": [2.0, 3.0]}}
+    code, stdout, _ = sweep(json.dumps(cfg), out=True)
+    assert code == 2
+    assert strict_loads(stdout)["errata_notes"][0].startswith(
+        "ValueError: Out of range float values are not JSON compliant")
 
 
 def near(lines, extremes=(NAN, INF, 1e200)):
@@ -251,6 +355,38 @@ def test_config_that_is_not_an_object_is_an_input_error(cfg):
     assert strict_loads(stdout)["errata_notes"] == ["a sweep config is a JSON object"]
 
 
+@pytest.mark.parametrize("field, value", [("grid", [1]), ("grid", "ab"), ("grid", 2.0),
+                                          ("base", [1]), ("base", None)])
+def test_grid_or_base_that_is_not_an_object_is_an_input_error(field, value):
+    # "grid": [1] was an IndexError traceback (exit 1); "base": [1] read
+    # "TypeError: cannot convert dictionary update sequence element #0 ..."
+    cfg = {"task": "solve2d", "base": RUNNABLE_BASE, "grid": {"f_theta": [2.0]}, field: value}
+    for out in (False, True):
+        code, stdout, written = sweep(json.dumps(cfg), out=out)
+        assert (code, written) == (2, None)
+        assert strict_loads(stdout)["errata_notes"] == [
+            f"sweep {field} is not a JSON object: {value!r}"]
+
+
+@pytest.mark.parametrize("cfg, name", [
+    ({"task": "solve2d", "base": dict(RUNNABLE_BASE, f_theta=2.0), "grid": {"f_thta": [1.0, 5.0]}},
+     "f_thta"),
+    ({"task": "solve2d", "base": dict(RUNNABLE_BASE, hbr=2.0), "grid": {"f_theta": [2.0, 3.0]}},
+     "hbr"),
+    ({"task": "match-field", "base": {"alpha_x": 1.0, "alpha_y": 2.0, "beta_x": 1.0,
+                                      "beta_y": 2.0},
+      "grid": {"f_eta": [1.0, 5.0, 7.0]}}, "f_eta"),
+], ids=["grid-axis", "base-key", "match-field-axis"])
+def test_parameter_the_task_does_not_read_is_an_input_error(cfg, name):
+    # such an axis ran every point alike and the document held one row per
+    # chunk, not per point; a misspelt base key left its parameter at the default
+    for out in (False, True):
+        code, stdout, written = sweep(json.dumps(cfg), out=out)
+        assert (code, written) == (2, None)
+        assert strict_loads(stdout)["errata_notes"] == [
+            f"sweep task {cfg['task']} has no parameter {name!r}"]
+
+
 def test_point_cap_is_checked_before_any_axis_is_built(monkeypatch):
     # an over-cap grid must not allocate its axes: linspace is never called
     def linspace(*args, **kwargs):
@@ -290,15 +426,27 @@ AXES = st.one_of(
 )
 
 
+# a base or grid that is not an object: a list once read an IndexError traceback
+NOT_OBJECTS = st.one_of(VALUES, st.lists(st.integers(0, 3), min_size=1, max_size=3),
+                        st.text(min_size=1, max_size=3))
+
+
 @st.composite
 def hand_written_configs(draw):
-    # every required parameter in base, then a few drawn from any value
+    # every required parameter in base, then a few drawn from any value;
+    # now and then a base or grid that is not an object
     task = draw(st.sampled_from(sorted(PARAMETERS)))
     names = PARAMETERS[task]
     base = {name: draw(NUMBERS) for name in names[:REQUIRED[task]]}
     base.update(draw(st.dictionaries(st.sampled_from(names), VALUES, max_size=2)))
     axes = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
-    return {"task": task, "base": base, "grid": {name: draw(AXES) for name in axes}}
+    grid = {name: draw(AXES) for name in axes}
+    shape = draw(st.sampled_from(["objects"] * 8 + ["base", "grid"]))
+    if shape == "base":
+        base = draw(NOT_OBJECTS)
+    elif shape == "grid":
+        grid = draw(NOT_OBJECTS)
+    return {"task": task, "base": base, "grid": grid}
 
 
 def is_number(v):
@@ -306,8 +454,10 @@ def is_number(v):
 
 
 def is_input_error(cfg):
-    """A base or grid value that is not a number, an axis without points,
-    or more points than the cap."""
+    """A base or grid that is not an object, a base or grid value that is
+    not a number, an axis without points, or more points than the cap."""
+    if not (isinstance(cfg["base"], dict) and isinstance(cfg["grid"], dict)):
+        return True
     if not all(is_number(v) for v in cfg["base"].values()):
         return True
     points = 1
