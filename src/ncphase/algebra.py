@@ -336,10 +336,18 @@ def map_to_json(m, hbar=1.0):
     return json.dumps(doc, sort_keys=True)
 
 
+def _dim(doc):
+    # a whole JSON number: 2.0 is one; 2.9, "2", true and 1e400 are not
+    dim = doc["dim"]
+    if not (type(dim) is int or (type(dim) is float and dim.is_integer())):
+        raise ValueError(f"dim must be a whole number, got {dim!r}")
+    return int(dim)
+
+
 def map_from_json(text):
     """Parse a map document; returns (PhaseSpaceMap, hbar)."""
     doc = json.loads(text)
-    m = PhaseSpaceMap(int(doc["dim"]), doc["A"], doc["B"], doc["C"], doc["D"])
+    m = PhaseSpaceMap(_dim(doc), doc["A"], doc["B"], doc["C"], doc["D"])
     return m, float(doc.get("hbar", 1.0))
 
 
@@ -356,5 +364,5 @@ def params_to_json(params):
 def params_from_json(text):
     doc = json.loads(text)
     return DeformationParams(
-        int(doc["dim"]), np.array(doc["theta"]), np.array(doc["eta"]), float(doc.get("hbar", 1.0))
+        _dim(doc), np.array(doc["theta"]), np.array(doc["eta"]), float(doc.get("hbar", 1.0))
     )

@@ -8,6 +8,7 @@ output; randomness enters only through --seed.
 """
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -353,33 +354,44 @@ _SLOT = re.compile(r'"\\u0000(.*?)\\u0000"')  # a placeholder as _dumps writes i
 
 
 def _template(row, names):
-    """(format string, its columns, the columns that must be finite) of a
-    row: the builder's report, dumped with placeholders and split where
-    they are.  The point and the metrics read null where not finite."""
+    """(literal parts, the columns between them, the columns that must be
+    finite) of a row: the builder's report, dumped with placeholders and
+    split where they are.  The point and the metrics read null where not
+    finite."""
     row["point"] = {name: f"\0point.{name}\0" for name in names}
     text = _SLOT.split(_dumps(row))
-    form = "{}".join(part.replace("{", "{{").replace("}", "}}") for part in text[::2])
-    return form, text[1::2], set(_SLOT.findall(_dumps(row["payload"])))
+    return text[::2], text[1::2], set(_SLOT.findall(_dumps(row["payload"])))
 
 
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})
-_TEXT = {float: float.__repr__, int: int.__repr__, bool: ("false", "true").__getitem__}
+_TEXT = {int: int.__repr__, bool: ("false", "true").__getitem__}
+
+
+def _float_texts(values):
+    """Each entry of a float array as _dumps writes it; a non-finite one reads null."""
+    return ["null" if t in _NON_FINITE else t for t in map(float.__repr__, values.tolist())]
+
+
+def _gather(texts, inverse):
+    """The list ``texts[k] for k in inverse``."""
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _texts(values, nullable):
     """Each value as _dumps writes it in a row; a complex is [re, im].  A
     non-finite float reads null if ``nullable``, else raises ValueError."""
     kinds = set(map(type, values))
+    if kinds == {float}:  # each distinct bit pattern rendered once: -0.0 keeps its sign
+        array = np.fromiter(values, float, len(values))
+        if not nullable and not np.isfinite(array).all():
+            _dumps(values)  # raises ValueError
+        bits, inverse = np.unique(array.view(np.int64), return_inverse=True)
+        return _gather(_float_texts(bits.view(float)), inverse)
     text = _TEXT.get(kinds.pop()) if len(kinds) == 1 else None
     if text is None:  # mixed types: complex entries of imaginary draws, say
         values = [[v.real, v.imag] if type(v) is complex else v for v in values]
         return [_dumps(_finite_or_none(v) if nullable else v) for v in values]
-    out = list(map(text, values))
-    if _NON_FINITE.isdisjoint(out):
-        return out
-    if not nullable:
-        _dumps(float(next(t for t in out if t in _NON_FINITE)))  # raises ValueError
-    return ["null" if t in _NON_FINITE else t for t in out]
+    return list(map(text, values))
 
 
 class _Sweep:
@@ -387,25 +399,25 @@ class _Sweep:
     rendered from each chunk's batch columns a slice of rows at a time."""
 
     def __init__(self, task, base, names, axes):
-        self.base, self.names = base, names
-        self.axes = [np.array(ax, dtype=float) for ax in axes]
+        self.base, self.names, self.axes = base, names, axes
         self.batch, row = _SWEEP_TASKS[task]
         self.passed = _template(row(_Slots()), names)
         self.failed = _template(_error_row(task, "\0note\0"), names)
+        # columns that hold row texts, not values
+        self.rendered = {"note"} | {f"point.{name}" for name in names}
 
     def chunks(self):
-        """(n, errors, columns) of each chunk of n grid points, in grid
-        order: the last axis varies fastest."""
+        """(index, errors, columns) of each chunk of grid points, in grid
+        order (the last axis varies fastest); ``index`` holds each axis's
+        index of the chunk's points."""
         shape = [ax.size for ax in self.axes]
         total = math.prod(shape)
         for start in range(0, total, SWEEP_CHUNK):
             index = np.unravel_index(np.arange(start, min(start + SWEEP_CHUNK, total)), shape)
-            point = [ax[i] for ax, i in zip(self.axes, index)]
             cols = dict(self.base)
-            cols.update(zip(self.names, point))
+            cols.update((name, ax[i]) for name, ax, i in zip(self.names, self.axes, index))
             errors, columns = self.batch(cols)
-            columns.update((f"point.{name}", p.tolist()) for name, p in zip(self.names, point))
-            yield index[0].size, errors, columns
+            yield index, errors, columns
 
     def status(self):
         """The sweep's status from the batched calls alone, without rendering."""
@@ -414,11 +426,17 @@ class _Sweep:
     def write(self, fh):
         """Write the rows, comma-separated; return the sweep's status."""
         status, sep = "pass", ""
-        for n, errors, columns in self.chunks():
+        for index, errors, columns in self.chunks():
+            n = index[0].size
+            for name, ax, i in zip(self.names, self.axes, index):
+                used, inverse = np.unique(i, return_inverse=True)  # each axis value once
+                columns[f"point.{name}"] = _gather(_float_texts(ax[used]), inverse)
             if errors:  # each note encoded once per exception object
                 status = "fail"
                 notes = {err: _dumps(_error_note(err)) for err in set(errors.values())}
-                columns["note"] = {i: notes[err] for i, err in errors.items()}
+                columns["note"] = note = [None] * n
+                for i, err in errors.items():
+                    note[i] = notes[err]
             for start in range(0, n, SWEEP_SLICE):
                 stop = min(start + SWEEP_SLICE, n)
                 fh.write(sep + ", ".join(self._rows(errors, columns, start, stop)))
@@ -428,21 +446,27 @@ class _Sweep:
     def _rows(self, errors, columns, start, stop):
         """The row texts of draws start..stop-1, in grid order."""
         draws = range(start, stop)
+        failed = [i for i in draws if i in errors] if errors else []
+        if len(failed) in (0, len(draws)):  # one template fills the slice
+            return self._fill(self.failed if failed else self.passed, columns, slice(start, stop))
         passed = self._fill(self.passed, columns, [i for i in draws if i not in errors])
-        failed = self._fill(self.failed, columns, [i for i in draws if i in errors])
-        return [next(failed) if i in errors else next(passed) for i in draws]
+        failed = self._fill(self.failed, columns, failed)
+        return map(next, [failed if i in errors else passed for i in draws])
 
-    @staticmethod
-    def _fill(template, columns, index):
-        """The template's rows of the draws ``index``, each column rendered once."""
-        form, names, strict = template
-        if not index:
-            return iter(())
+    def _fill(self, template, columns, index):
+        """The template's rows of the draws ``index``, a slice or a list:
+        each distinct value of a column rendered once, each row joined
+        from the template's literal parts and the column texts."""
+        parts, names, strict = template
         texts = {}
         for name in set(names):
-            values = list(map(columns[name].__getitem__, index))
-            texts[name] = values if name == "note" else _texts(values, name not in strict)
-        return map(form.format, *(texts[name] for name in names))
+            column = columns[name]
+            values = column[index] if type(index) is slice else list(map(column.__getitem__, index))
+            texts[name] = values if name in self.rendered else _texts(values, name not in strict)
+        fields = [itertools.repeat(parts[0])]
+        for name, part in zip(names, parts[1:]):
+            fields += (texts[name], itertools.repeat(part))
+        return map("".join, zip(*fields))
 
 
 def _write(report, as_json, fh):
@@ -485,8 +509,8 @@ def _run_sweep(args):
     total = math.prod(_axis_length(name, grid[name]) for name in names)
     if total > SWEEP_MAX_POINTS:
         return _report("sweep", "error", notes=[f"grid of {total} points exceeds the 1e6 cap"])
-    axes = [np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"])).tolist()
-            if isinstance(spec, dict) else [float(v) for v in spec]
+    axes = [np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
+            if isinstance(spec, dict) else np.array([float(v) for v in spec])
             for spec in (grid[name] for name in names)]
     for name, v in base.items():
         if not _is_number(v):
@@ -519,6 +543,14 @@ def count(text):
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative count, got {text!r}")
+    return n
+
+
+def positive_count(text):
+    """argparse type of --samples: a whole number of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive count, got {text!r}")
     return n
 
 
@@ -584,7 +616,7 @@ def _build_parser():
 
     p = sub.add_parser("equivalence", help="closed form vs integrator cross-checks")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=positive_count, default=64)
     p.add_argument("--tol", type=tolerance, default=1e-8)
     p.add_argument("--eta-scale", type=float, default=1.0)
 

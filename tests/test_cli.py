@@ -85,6 +85,20 @@ def test_check_map_non_finite_input_is_an_error(index, key, value, sw_fixture):
     assert ("must be finite" if key != "hbar" else "hbar mismatch") in doc["errata_notes"][0]
 
 
+@pytest.mark.parametrize("index", [0, 1], ids=["map", "theta"])
+@pytest.mark.parametrize("dim, shown", [("1e400", "inf"), ("2.9", "2.9"), ('"2"', "'2'")])
+def test_check_map_dim_is_a_whole_number(dim, shown, index, sw_fixture, capsys):
+    # 1e400 was an OverflowError traceback (exit 1); 2.9 and "2" were read as 2
+    path = sw_fixture[index]
+    path.write_text(path.read_text().replace('"dim": 2', f'"dim": {dim}'))
+    argv = ["check-map", "--map", str(sw_fixture[0]), "--theta", str(sw_fixture[1]), "--json"]
+    assert cli.run(argv) == 2
+    doc = strict_loads(capsys.readouterr().out)
+    assert doc["errata_notes"] == [f"ValueError: dim must be a whole number, got {shown}"]
+    path.write_text(path.read_text().replace(f'"dim": {dim}', '"dim": 2.0'))
+    assert cli.run(argv) == 0
+
+
 def test_check_map_missing_file_exit_code(tmp_path):
     r = run_cli("check-map", "--map", str(tmp_path / "nope.json"),
                 "--theta", str(tmp_path / "nope2.json"))
@@ -417,6 +431,16 @@ def test_nonpositive_hbar_is_a_3d_input_error(hbar, tmp_path):
     r = run_cli("solve3d", "--input", str(path), "--json")
     assert r.returncode == 2, r.stdout
     assert strict_loads(r.stdout)["errata_notes"] == ["ValueError: hbar must be positive and finite"]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_equivalence_samples_is_a_positive_count(value, scenario, capsys):
+    # 0 and -3 reached numpy, whose reduction and linspace messages were the note
+    with pytest.raises(SystemExit) as exit:
+        cli.run(["equivalence", "--scenario", str(scenario), f"--samples={value}"])
+    out = capsys.readouterr()
+    assert (exit.value.code, out.out) == (2, "")
+    assert f"argument --samples: must be a positive count, got '{value}'" in out.err
 
 
 @pytest.mark.parametrize("value, message", [

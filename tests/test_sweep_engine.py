@@ -206,6 +206,44 @@ def test_streamed_rows_match_the_per_point_path(name, monkeypatch):
     assert_matches_oracle(cfg)
 
 
+# The renderer writes each distinct value once: a point column once per
+# chunk, every other column once per slice, keyed on the float's bits.  The
+# value is the config and the SWEEP_CHUNK and SWEEP_SLICE it runs with.
+RENDER_CASES = {
+    # -0.0 and 0.0 in one column of one slice, in the point and the payload
+    "signed-zeros": ({"task": "match-field",
+                      "base": {"alpha_x": 1.0, "alpha_y": 2.0, "beta_x": 1.0, "beta_y": 2.0},
+                      "grid": {"f_theta": [0.0, -0.0, 1.5, -0.0, 0.0], "theta": [-0.0, 0.0]}},
+                     cli.SWEEP_CHUNK, SLICE),
+    "signed-zeros-solve2d": ({"task": "solve2d", "base": dict(SOLVE2D_BASE, f_theta_x=3.0),
+                              "grid": {"f_eta": [-0.0, 0.0, 4.0], "f_theta": [2.0, -0.0, 0.0]}},
+                             cli.SWEEP_CHUNK, SLICE),
+    # real draws complete from f_theta_y: a NaN or infinite f_theta_x
+    # point reads null in pass rows
+    "null-points": ({"task": "solve2d", "base": dict(SOLVE2D_BASE, f_eta=4.0, f_theta_y=1.5),
+                     "grid": {"f_theta": [2.0, 3.0], "f_theta_x": [NAN, INF, -INF, 1.0, NAN]}},
+                    cli.SWEEP_CHUNK, SLICE),
+    # the last axis is longer than a chunk: its values recur in later chunks
+    "axis-across-chunks": ({"task": "solve2d", "base": dict(SOLVE2D_BASE, f_eta=4.0),
+                            "grid": {"f_theta": [2.0, 3.0],
+                                     "f_theta_x": [3.0, -1.5, 3.0, 0.5, -0.0, 0.0, 2.0]}},
+                           5, SLICE),
+    # slices of 4 rows: all errors, all passes, then both; integer base values
+    "error-slice-beside-pass-slice": ({"task": "solve2d", "base": INTEGER_BASE,
+                                       "grid": {"f_theta": [1.0, -1.0, 1.0, 1.0, 2.0, 2.5, 3.0,
+                                                            3.5, 1.0, 4.0]}},
+                                      cli.SWEEP_CHUNK, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_CASES))
+def test_rendered_rows_match_the_per_point_path(name, monkeypatch):
+    cfg, chunk, rows = RENDER_CASES[name]
+    monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+    monkeypatch.setattr(cli, "SWEEP_SLICE", rows)
+    assert_matches_oracle(cfg)
+
+
 def test_error_rows_can_share_one_exception():
     # the case "shared-errors" and the singular lines above rely on this
     done = complete_2d_batch(1.0, 2.0, [1.0, 1.0, 2.0, -1.0, 1.0], 4.0, 3.0)
