@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import map_from_json, params_from_json, verify_deformation
-from .nc2d import Params2D, SingularBranchError, complete_2d_batch, params2d_to_doc
+from .nc2d import Params2D, SingularBranchError, _item, complete_2d_batch, params2d_to_doc
 from .nc3d import generate_feasible_3d, params3d_from_json, params3d_to_doc, residual_3d, solve_3d
 from .dynamics import (DEFAULT_STEPS, ClosedFormCoeffs, DegenerateFieldError, FieldConfig,
                        NonMatchableError, equivalence_check, field_to_deformation_batch,
@@ -112,17 +112,18 @@ def _error_row(task, note):
 
 
 def _columns(batch, prefix=""):
-    return {prefix + name: col for name, col in batch._asdict().items() if name != "errors"}
+    return {prefix + name: col for name, col in batch._asdict().items()
+            if name not in ("stage", "failures")}
 
 
 def _solve2d_batch(cols):
-    """(errors by draw index, result columns as lists) of the draws whose
-    inputs ``cols`` holds, each a scalar or an (n,) array."""
+    """(the batch result, its columns) of the draws whose inputs ``cols``
+    holds, each a scalar or an (n,) array."""
     done = complete_2d_batch(cols["theta"], cols["eta"], cols["f_theta"], cols["f_eta"],
                              cols.get("f_theta_x"), cols.get("hbar", 1.0),
                              f_theta_y=cols.get("f_theta_y"),
                              f_theta_imag=cols.get("f_theta_imag", 0.0))
-    return done.errors, _columns(done)
+    return done, _columns(done)
 
 
 def _solve2d_row(v):
@@ -138,9 +139,9 @@ def _match_field_batch(cols):
                                        get("theta", 0.0))
     columns = _columns(match)
     columns.update(_columns(columns.pop("params2d"), "params2d."))
-    b_z = cols["alpha_y"] - cols["beta_x"]  # of two scalars, a Python number as FieldConfig.b_z
-    columns["b_z"] = [b_z] * len(match.eta) if np.ndim(b_z) == 0 else b_z.tolist()
-    return match.errors, columns
+    # of two scalars, a Python number as FieldConfig.b_z
+    columns["b_z"] = cols["alpha_y"] - cols["beta_x"]
+    return match, columns
 
 
 def _match_field_row(v):
@@ -154,10 +155,11 @@ def _match_field_row(v):
 
 def _run_one(task, args):
     batch, row = _SWEEP_TASKS[task]
-    errors, columns = batch(args)
-    if errors:
-        return _error_row(task, _error_note(errors[0]))
-    return row({name: col[0] for name, col in columns.items()})
+    done, columns = batch(args)
+    err = done.error(0)
+    if err is not None:
+        return _error_row(task, _error_note(err))
+    return row({name: _item(col, 0) for name, col in columns.items()})
 
 
 def _run_solve2d(args):
@@ -205,11 +207,14 @@ def _run_match_field(args):
 def _load_scenario(path):
     with open(path) as fh:
         doc = json.load(fh)
-    field = FieldConfig(**doc["field"])
-    c, params = doc.get("coeffs", {}), doc.get("params", {})
-    for name, value in (("coeffs", c), ("params", params)):
+    field, c, params = doc["field"], doc.get("coeffs", {}), doc.get("params", {})
+    for name, value in (("field", field), ("coeffs", c), ("params", params)):
         if not isinstance(value, dict):
             raise ValueError(f"scenario {name} is not a JSON object: {value!r}")
+        for key, v in value.items():  # true would run as 1.0
+            if not _is_number(v):
+                raise ValueError(f"scenario {name} value {key!r} is not a number: {v!r}")
+    field = FieldConfig(**field)
     dt = doc.get("dt")
     if not (dt is None or _is_number(dt)):
         raise ValueError(f"scenario dt is neither a number nor null: {dt!r}")
@@ -286,7 +291,7 @@ def _run_equivalence(args):
                    notes=rep.errata_notes)
 
 
-# per task: its batched call, (errors, columns) of n draws, and its row builder
+# per task: its batched call, (result, columns) of n draws, and its row builder
 _SWEEP_TASKS = {"solve2d": (_solve2d_batch, _solve2d_row),
                 "match-field": (_match_field_batch, _match_field_row)}
 SWEEP_MAX_POINTS = 1_000_000
@@ -363,35 +368,51 @@ def _template(row, names):
     return text[::2], text[1::2], set(_SLOT.findall(_dumps(row["payload"])))
 
 
-_NON_FINITE = frozenset({"nan", "inf", "-inf"})
-_TEXT = {int: int.__repr__, bool: ("false", "true").__getitem__}
+_BOOLS = np.array(["false", "true"], dtype=object)
 
 
 def _float_texts(values):
     """Each entry of a float array as _dumps writes it; a non-finite one reads null."""
-    return ["null" if t in _NON_FINITE else t for t in map(float.__repr__, values.tolist())]
+    texts = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = "null"
+    return texts
 
 
-def _gather(texts, inverse):
-    """The list ``texts[k] for k in inverse``."""
-    return np.array(texts, dtype=object)[inverse].tolist()
+def _text(value, nullable):
+    """A value as _dumps writes it in a row; a complex is [re, im].  A
+    non-finite float reads null if ``nullable``, else raises ValueError."""
+    if type(value) is complex:
+        value = [value.real, value.imag]
+    return _dumps(_finite_or_none(value) if nullable else value)
 
 
 def _texts(values, nullable):
-    """Each value as _dumps writes it in a row; a complex is [re, im].  A
-    non-finite float reads null if ``nullable``, else raises ValueError."""
-    kinds = set(map(type, values))
-    if kinds == {float}:  # each distinct bit pattern rendered once: -0.0 keeps its sign
-        array = np.fromiter(values, float, len(values))
-        if not nullable and not np.isfinite(array).all():
-            _dumps(values)  # raises ValueError
-        bits, inverse = np.unique(array.view(np.int64), return_inverse=True)
-        return _gather(_float_texts(bits.view(float)), inverse)
-    text = _TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-    if text is None:  # mixed types: complex entries of imaginary draws, say
-        values = [[v.real, v.imag] if type(v) is complex else v for v in values]
-        return [_dumps(_finite_or_none(v) if nullable else v) for v in values]
-    return list(map(text, values))
+    """Each entry of an (n,) column as _text writes it; each distinct
+    float is rendered once, keyed on its bits (so -0.0 keeps its sign)."""
+    if values.dtype == bool:
+        return _BOOLS[values.view(np.uint8)].tolist()
+    if values.dtype == object:  # complex entries of imaginary draws beside real ones
+        return [_text(v, nullable) for v in values.tolist()]
+    if not nullable and not np.isfinite(values).all():
+        _dumps(values.tolist())  # raises ValueError
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(_float_texts(bits.view(float)), dtype=object)[inverse].tolist()
+
+
+def _notes(done, failed):
+    """The note text of each failed draw of a chunk, None where it passed:
+    rendered once per stage whose draws share one exception, else once
+    per draw."""
+    notes = np.empty(failed.size, dtype=object)
+    for stage in np.unique(done.stage[failed]).tolist():
+        make, at = done.failures[stage], done.stage == stage
+        if isinstance(make, Exception):
+            notes[at] = _dumps(_error_note(make))
+        else:
+            index = np.flatnonzero(at)
+            notes[index] = [_dumps(_error_note(make(i))) for i in index.tolist()]
+    return notes
 
 
 class _Sweep:
@@ -407,7 +428,7 @@ class _Sweep:
         self.rendered = {"note"} | {f"point.{name}" for name in names}
 
     def chunks(self):
-        """(index, errors, columns) of each chunk of grid points, in grid
+        """(index, result, columns) of each chunk of grid points, in grid
         order (the last axis varies fastest); ``index`` holds each axis's
         index of the chunk's points."""
         shape = [ax.size for ax in self.axes]
@@ -416,54 +437,77 @@ class _Sweep:
             index = np.unravel_index(np.arange(start, min(start + SWEEP_CHUNK, total)), shape)
             cols = dict(self.base)
             cols.update((name, ax[i]) for name, ax, i in zip(self.names, self.axes, index))
-            errors, columns = self.batch(cols)
-            yield index, errors, columns
+            done, columns = self.batch(cols)
+            yield index, done, columns
 
     def status(self):
         """The sweep's status from the batched calls alone, without rendering."""
-        return "fail" if any(errors for _, errors, _ in self.chunks()) else "pass"
+        return "fail" if any((done.stage >= 0).any() for _, done, _ in self.chunks()) else "pass"
 
     def write(self, fh):
         """Write the rows, comma-separated; return the sweep's status."""
         status, sep = "pass", ""
-        for index, errors, columns in self.chunks():
-            n = index[0].size
+        for index, done, columns in self.chunks():
             for name, ax, i in zip(self.names, self.axes, index):
                 used, inverse = np.unique(i, return_inverse=True)  # each axis value once
-                columns[f"point.{name}"] = _gather(_float_texts(ax[used]), inverse)
-            if errors:  # each note encoded once per exception object
+                texts = _float_texts(ax[used])
+                columns[f"point.{name}"] = (texts[0] if used.size == 1 else
+                                            np.array(texts, dtype=object)[inverse])
+            failed = done.stage >= 0
+            templates = [None, None]  # of pass rows, of error rows
+            if not failed.all():
+                templates[0] = self._fold(self.passed, columns)
+            if failed.any():
                 status = "fail"
-                notes = {err: _dumps(_error_note(err)) for err in set(errors.values())}
-                columns["note"] = note = [None] * n
-                for i, err in errors.items():
-                    note[i] = notes[err]
-            for start in range(0, n, SWEEP_SLICE):
-                stop = min(start + SWEEP_SLICE, n)
-                fh.write(sep + ", ".join(self._rows(errors, columns, start, stop)))
+                columns["note"] = _notes(done, failed)
+                templates[1] = self._fold(self.failed, columns)
+            for start in range(0, failed.size, SWEEP_SLICE):
+                rows = self._rows(templates, columns, failed[start:start + SWEEP_SLICE], start)
+                fh.write(sep + ", ".join(rows))
                 sep = ", "
         return status
 
-    def _rows(self, errors, columns, start, stop):
-        """The row texts of draws start..stop-1, in grid order."""
-        draws = range(start, stop)
-        failed = [i for i in draws if i in errors] if errors else []
-        if len(failed) in (0, len(draws)):  # one template fills the slice
-            return self._fill(self.failed if failed else self.passed, columns, slice(start, stop))
-        passed = self._fill(self.passed, columns, [i for i in draws if i not in errors])
-        failed = self._fill(self.failed, columns, failed)
-        return map(next, [failed if i in errors else passed for i in draws])
+    def _fold(self, template, columns):
+        """The template with the text of each of the chunk's scalar columns
+        written into its literal parts: a constant is rendered once per
+        chunk, not once per row."""
+        parts, names, strict = template
+        folded, slots = [parts[0]], []
+        for name, part in zip(names, parts[1:]):
+            column = columns[name]
+            if np.ndim(column):
+                folded.append(part)
+                slots.append(name)
+            else:
+                text = column if name in self.rendered else _text(column, name not in strict)
+                folded[-1] += text + part
+        return folded, slots, strict
+
+    def _rows(self, templates, columns, failed, start):
+        """The row texts of the slice of draws from ``start`` on, in grid
+        order; ``failed`` marks the slice's error rows."""
+        count = int(np.count_nonzero(failed))
+        if count in (0, failed.size):  # one template fills the slice
+            return self._fill(templates[count > 0], columns, slice(start, start + failed.size))
+        rows = np.empty(failed.size, dtype=object)
+        for template, at in zip(templates, (~failed, failed)):
+            index = np.flatnonzero(at)
+            rows[index] = np.fromiter(self._fill(template, columns, index + start), object,
+                                      index.size)
+        return rows.tolist()
 
     def _fill(self, template, columns, index):
-        """The template's rows of the draws ``index``, a slice or a list:
-        each distinct value of a column rendered once, each row joined
-        from the template's literal parts and the column texts."""
+        """The template's rows of the draws ``index``, a slice or an index
+        array: each distinct value of a column rendered once, each row
+        joined from the template's literal parts and the column texts."""
         parts, names, strict = template
         texts = {}
         for name in set(names):
-            column = columns[name]
-            values = column[index] if type(index) is slice else list(map(column.__getitem__, index))
-            texts[name] = values if name in self.rendered else _texts(values, name not in strict)
-        fields = [itertools.repeat(parts[0])]
+            values = columns[name][index]
+            texts[name] = (values.tolist() if name in self.rendered else
+                           _texts(values, name not in strict))
+        count = index.stop - index.start if type(index) is slice else index.size
+        fields = [itertools.repeat(parts[0], count)]
         for name, part in zip(names, parts[1:]):
             fields += (texts[name], itertools.repeat(part))
         return map("".join, zip(*fields))
@@ -653,7 +697,7 @@ def run(argv=None):
     except BrokenPipeError:
         raise  # a closed stdout: main() ends with EXIT_CLOSED_STDOUT
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError, RuntimeError,
-            ZeroDivisionError) as err:
+            ZeroDivisionError, OverflowError) as err:
         report = _report(ns.command, "error", notes=[f"{type(err).__name__}: {err}"])
         status = _write(report, ns.as_json, sys.stdout)
     return EXITS[status]

@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import HBAR_MESSAGE, DeformationParams, antisymmetric_2d
-from .nc2d import (Completion2D, Params2D, _collect_errors, _draws, _item, _residual_entries,
-                   _residual_scale, maps_2d)
+from .nc2d import (Completion2D, Params2D, _draws, _failure, _first_failure, _item,
+                   _residual_entries, _residual_scale, _value, maps_2d)
 
 PROPORTIONALITY_RTOL = 1e-12
 MATCH_RESIDUAL_TOL = 1e-12
@@ -163,23 +163,29 @@ def _division_error(num, den):
 
 
 class MatchBatch(NamedTuple):
-    """N matched fields and the error of each failed one.
+    """N matched fields and the first failing stage of each.
 
-    Every field is a list with one entry per draw: the value a
-    MatchResult of that draw holds; ``params2d`` carries the matched
-    Params2D values.  Entries of failed draws are placeholders.
-    ``errors`` maps the index of a failed draw to the exception
-    field_to_deformation raises for it.
+    Every value field is an (N,) array: the values the MatchResults of
+    the draws hold; ``params2d`` carries the matched Params2D columns.
+    Entries of failed draws are placeholders.  ``stage`` and ``failures``
+    are those of Completion2D: each draw's first failing stage (-1 where
+    it passed) and, per stage, the exception field_to_deformation raises
+    there, shared by its draws or built from the draw's index.
     """
 
-    eta: list
-    f_eta: list
-    kx: list
-    ky: list
-    omega_commutative: list
-    omega_nc: list
+    eta: np.ndarray
+    f_eta: np.ndarray
+    kx: np.ndarray
+    ky: np.ndarray
+    omega_commutative: np.ndarray
+    omega_nc: np.ndarray
     params2d: Completion2D
-    errors: dict
+    stage: np.ndarray
+    failures: tuple
+
+    def error(self, i):
+        """The exception draw i fails with, or None if it passed."""
+        return _failure(self.stage, self.failures, i)
 
 
 def field_to_deformation_batch(alpha_x, alpha_y, beta_x, beta_y, e=1.0, c=1.0, m_p=1.0,
@@ -190,8 +196,8 @@ def field_to_deformation_batch(alpha_x, alpha_y, beta_x, beta_y, e=1.0, c=1.0, m
     as building its FieldConfig and calling field_to_deformation would, in
     the same order of checks, with the same exception and message.
     """
-    raw, n, (ax, ay, bx, by, e, c, m_p, f, h, t) = _draws(alpha_x, alpha_y, beta_x, beta_y, e, c,
-                                                          m_p, f_theta, hbar, theta)
+    raw, (ax, ay, bx, by, e, c, m_p, f, h, t) = _draws(alpha_x, alpha_y, beta_x, beta_y, e, c,
+                                                       m_p, f_theta, hbar, theta)
     finite = np.isfinite(np.stack([ax, ay, bx, by, e, c, m_p, f, h, t]))
     with np.errstate(all="ignore"):
         k = e / c
@@ -232,7 +238,7 @@ def field_to_deformation_batch(alpha_x, alpha_y, beta_x, beta_y, e=1.0, c=1.0, m
         slot = int(np.argmin(finite[:7, i]))
         return ValueError(f"{_FIELD_NAMES[slot]} must be finite, got {item(slot, i)!r}")
 
-    errors = _collect_errors(stages, [
+    failures = (
         non_finite_field,
         lambda i: ValueError("f_theta, hbar and theta must be finite, got "
                              f"{(item(7, i), item(8, i), item(9, i))!r}"),
@@ -245,14 +251,13 @@ def field_to_deformation_batch(alpha_x, alpha_y, beta_x, beta_y, e=1.0, c=1.0, m
             f"matched parameters violate the consistency product: {worst[i]:.3e}"),
         lambda i: _division_error(item(4, i), item(5, i) * item(6, i)),
         lambda i: _division_error(eta[i].item(), item(6, i) * item(8, i)),
-    ])
-
-    floats = [v.tolist() for v in (t, eta, f, f_eta, f_theta_x, f_theta_y, f_eta_x, f_eta_y, h)]
-    params2d = Completion2D(*floats, imaginary_mode=[False] * n, residual_max=worst.tolist(),
-                            errors=errors)
-    return MatchBatch(eta=floats[1], f_eta=floats[3], kx=kx.tolist(), ky=ky.tolist(),
-                      omega_commutative=omega_c.tolist(), omega_nc=omega_nc.tolist(),
-                      params2d=params2d, errors=errors)
+    )
+    stage = _first_failure(stages)
+    params2d = Completion2D(_value(raw[9], t), eta, _value(raw[7], f), f_eta, f_theta_x,
+                            f_theta_y, f_eta_x, f_eta_y, _value(raw[8], h), imaginary_mode=False,
+                            residual_max=worst, stage=stage, failures=failures)
+    return MatchBatch(eta=eta, f_eta=f_eta, kx=kx, ky=ky, omega_commutative=omega_c,
+                      omega_nc=omega_nc, params2d=params2d, stage=stage, failures=failures)
 
 
 def field_to_deformation(field, f_theta, hbar=1.0, theta=0.0):
@@ -266,19 +271,20 @@ def field_to_deformation(field, f_theta, hbar=1.0, theta=0.0):
     """
     batch = field_to_deformation_batch(field.alpha_x, field.alpha_y, field.beta_x, field.beta_y,
                                        field.e, field.c, field.m_p, f_theta, hbar, theta)
-    if 0 in batch.errors:
-        raise batch.errors[0]
+    err = batch.error(0)
+    if err is not None:
+        raise err
     return MatchResult(
         field=field,
         hbar=float(hbar),
         theta=float(theta),
         f_theta=float(f_theta),
-        eta=batch.eta[0],
-        f_eta=batch.f_eta[0],
-        kx=batch.kx[0],
-        ky=batch.ky[0],
-        omega_commutative=batch.omega_commutative[0],
-        omega_nc=batch.omega_nc[0],
+        eta=_item(batch.eta, 0),
+        f_eta=_item(batch.f_eta, 0),
+        kx=_item(batch.kx, 0),
+        ky=_item(batch.ky, 0),
+        omega_commutative=_item(batch.omega_commutative, 0),
+        omega_nc=_item(batch.omega_nc, 0),
         params2d=batch.params2d.params(0),
     )
 

@@ -79,32 +79,52 @@ def _as_scalar(v):
 
 
 def _item(v, i):
-    """Draw i of an input: the caller's own object where it passed a scalar."""
-    return v if np.ndim(v) == 0 else v[i].item()
+    """Draw i of an input or a result column as a Python scalar: the
+    caller's own object where it passed a scalar."""
+    return v if np.ndim(v) == 0 else v.item(i)
 
 
 def _draws(*values):
-    """(raw, N, columns) of batch inputs that are scalars or (N,) arrays.
+    """(raw, columns) of batch inputs that are scalars or (N,) arrays.
 
     In ``raw`` a scalar stays the caller's own object (its repr goes into
-    messages and its type into payloads); ``columns`` are float arrays of
-    shape (N,).  None, an absent input, stays None in both.
+    messages and its type into payloads) and an array is its column;
+    ``columns`` are float arrays of shape (N,).  None, an absent input,
+    stays None in both.
     """
     raw = [v if v is None or np.ndim(v) == 0 else np.asarray(v, dtype=float) for v in values]
     n = max([1] + [v.size for v in raw if np.ndim(v)])
     columns = [None if v is None else np.broadcast_to(np.asarray(v, float), (n,)) for v in raw]
-    return raw, n, columns
+    return [v if np.ndim(v) == 0 else c for v, c in zip(raw, columns)], columns
 
 
-def _column(values, n, override=None, where=None):
-    """Per-draw Python values: ``values`` (a scalar, kept as is, or an
-    array), with ``override`` put in at the draws ``where`` selects."""
+def _value(raw, column):
+    """The float every draw holds of a scalar input, else its column."""
+    return column if np.ndim(raw) else column.item(0)
+
+
+def _column(values, override=None, where=None):
+    """A result column: ``values`` (a scalar, kept as is, or an array),
+    with ``override`` put in at the draws ``where`` selects."""
     if where is None or not where.any():
-        return [values] * n if np.ndim(values) == 0 else np.broadcast_to(values, (n,)).tolist()
-    col = np.empty(n, dtype=object)
+        return values
+    col = np.empty(where.size, dtype=object)
     col[:] = values
     col[where] = override[where]
-    return col.tolist()
+    return col
+
+
+def _first_failure(stages):
+    """Each draw's first failing stage, -1 where it fails none."""
+    return np.select(stages, list(range(len(stages))), -1).astype(np.int8)
+
+
+def _failure(stage, failures, i):
+    """The exception draw i fails with, or None if it passed."""
+    if stage[i] < 0:
+        return None
+    make = failures[stage[i]]
+    return make if isinstance(make, Exception) else make(i)
 
 
 _POW = np.frompyfunc(math.pow, 2, 1)
@@ -186,36 +206,50 @@ def _residual_scale(*fields):
 
 
 class Completion2D(NamedTuple):
-    """N completed draws and the error of each failed one.
+    """N completed draws and the first failing stage of each.
 
-    Every field is a list with one entry per draw: the value a Params2D
-    of that draw holds.  An input given as a scalar is echoed as the
-    caller's own object, as the scalar API did.  Entries of failed
-    draws are placeholders.  ``errors`` maps the index of a failed draw
-    to the exception the scalar call raises for it; draws that fail alike
-    may share one exception object.
+    Every value field is a column: the values the Params2D of the draws
+    hold, as an (N,) array, or as one scalar that every draw holds.  An
+    input given as a scalar gives a scalar column: f_theta and the given
+    pivot echo the caller's own object, as the scalar API did; theta,
+    eta, f_eta and hbar its float.  A column that mixes types (complex
+    entries of imaginary draws beside real ones) is an object array.
+    Entries of failed draws are placeholders.
+
+    ``stage`` is an (N,) int8 array of each draw's first failing stage,
+    -1 where the draw passed.  ``failures`` holds, per stage, the
+    exception the scalar call raises for a draw failing there: one
+    exception that all those draws share, or a function of the draw's
+    index that builds it.
     """
 
-    theta: list
-    eta: list
-    f_theta: list
-    f_eta: list
-    f_theta_x: list
-    f_theta_y: list
-    f_eta_x: list
-    f_eta_y: list
-    hbar: list
-    imaginary_mode: list
-    residual_max: list
-    errors: dict
+    theta: object
+    eta: object
+    f_theta: object
+    f_eta: object
+    f_theta_x: object
+    f_theta_y: object
+    f_eta_x: object
+    f_eta_y: object
+    hbar: object
+    imaginary_mode: object
+    residual_max: np.ndarray
+    stage: np.ndarray
+    failures: tuple
+
+    def error(self, i):
+        """The exception draw i fails with, or None if it passed."""
+        return _failure(self.stage, self.failures, i)
 
     def params(self, i):
-        return Params2D(*(getattr(self, name)[i] for name in _PARAMS))
+        """Draw i as a Params2D of Python scalars."""
+        return Params2D(*(_item(getattr(self, name), i) for name in _PARAMS))
 
     def first(self):
         """The one draw of an N=1 call as Params2D, or its error raised."""
-        if 0 in self.errors:
-            raise self.errors[0]
+        err = self.error(0)
+        if err is not None:
+            raise err
         return self.params(0)
 
 
@@ -235,8 +269,8 @@ def complete_2d_batch(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, *,
     """
     if f_theta_x is None and f_theta_y is None:
         raise ValueError(_ONE_PIVOT)
-    raw, n, (t, e, fr, fe, fx, fy, h, fi) = _draws(theta, eta, f_theta, f_eta, f_theta_x,
-                                                   f_theta_y, hbar, f_theta_imag)
+    raw, (t, e, fr, fe, fx, fy, h, fi) = _draws(theta, eta, f_theta, f_eta, f_theta_x,
+                                                f_theta_y, hbar, f_theta_imag)
     imag = fi != 0
     if fx is None and imag.any():
         raise ValueError("the imaginary variant completes from f_theta_x")
@@ -289,7 +323,7 @@ def complete_2d_batch(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, *,
         stages = [
             ~finite.all(axis=0),
             h <= 0,
-            kind != _REGULAR,
+            *(kind == k for k in range(_REGULAR)),  # one stage per singular class
             overflow,
             ~imag & split,
             ~imag & ~np.isfinite(resid),
@@ -305,17 +339,16 @@ def complete_2d_batch(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, *,
             value = complex(value, _item(raw[7], i))
         return ValueError(f"{name} must be finite, got {value!r}")
 
-    singular = [SingularBranchError(k) for k in SINGULAR_KINDS]
     overflow_error = ValueError("the completion overflows")
-    errors = _collect_errors(stages, [
+    failures = (
         non_finite,
         ValueError(HBAR_MESSAGE),
-        lambda i: singular[kind[i]],
+        *(SingularBranchError(k) for k in SINGULAR_KINDS[:_REGULAR]),
         overflow_error,
         lambda i: RuntimeError(f"pivot routes disagree by {gap[i]:.3e}"),
         overflow_error,
         lambda i: RuntimeError(f"completion residual {resid[i]:.3e} exceeds tolerance"),
-    ])
+    )
 
     if any_imag:
         imaginary = {"f_theta": z.astype(object), "f_theta_x": fx, "f_theta_y": i_fty,
@@ -323,34 +356,20 @@ def complete_2d_batch(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, *,
     else:
         imaginary = dict.fromkeys(("f_theta", "f_theta_x", "f_theta_y", "f_eta_x", "f_eta_y"))
     return Completion2D(
-        theta=_column(t, n),
-        eta=_column(e, n),
-        f_theta=_column(raw[2], n, imaginary["f_theta"], imag),
-        f_eta=_column(fe, n),
-        f_theta_x=_column(ftx if by_y else raw[4], n, imaginary["f_theta_x"], imag),
-        f_theta_y=_column(raw[5] if by_y else fty, n, imaginary["f_theta_y"], imag),
-        f_eta_x=_column(fex, n, imaginary["f_eta_x"], imag),
-        f_eta_y=_column(fey, n, imaginary["f_eta_y"], imag),
-        hbar=_column(h, n),
-        imaginary_mode=imag.tolist(),
-        residual_max=resid.tolist(),
-        errors=errors,
+        theta=_value(raw[0], t),
+        eta=_value(raw[1], e),
+        f_theta=_column(raw[2], imaginary["f_theta"], imag),
+        f_eta=_value(raw[3], fe),
+        f_theta_x=_column(ftx if by_y else raw[4], imaginary["f_theta_x"], imag),
+        f_theta_y=_column(raw[5] if by_y else fty, imaginary["f_theta_y"], imag),
+        f_eta_x=_column(fex, imaginary["f_eta_x"], imag),
+        f_eta_y=_column(fey, imaginary["f_eta_y"], imag),
+        hbar=_value(raw[6], h),
+        imaginary_mode=imag if any_imag else False,
+        residual_max=resid,
+        stage=_first_failure(stages),
+        failures=failures,
     )
-
-
-def _collect_errors(stages, makers):
-    """Index -> exception of every failed draw; the first stage a draw
-    fails decides.  A maker is either one exception, shared by all the
-    draws its stage fails, or a function of the draw's index."""
-    failed = np.select(stages, list(range(len(stages))), -1)
-    errors = {}
-    for stage, make in enumerate(makers):
-        index = np.flatnonzero(failed == stage).tolist()
-        if isinstance(make, Exception):
-            errors.update(dict.fromkeys(index, make))
-        else:
-            errors.update((i, make(i)) for i in index)
-    return errors
 
 
 def _complex(re, im):

@@ -266,6 +266,44 @@ def test_scenario_fields_have_their_types(command, field, value, note, scenario,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "equivalence"])
+@pytest.mark.parametrize("section, key", [("coeffs", "x1"), ("params", "hbar"), ("field", "e")])
+@pytest.mark.parametrize("value", [True, 10**400], ids=["bool", "int-beyond-float"])
+def test_scenario_values_are_json_numbers(command, section, key, value, scenario, tmp_path,
+                                          capsys):
+    # true ran as 1.0 and passed; an integer beyond the float range was an
+    # OverflowError traceback with exit 1
+    doc = json.loads(scenario.read_text())
+    doc[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "traj.csv"
+    argv = [command, "--scenario", str(bad), "--json"]
+    code = cli.run(argv + (["--out", str(out)] if command == "simulate" else []))
+    assert code == 2
+    assert strict_loads(capsys.readouterr().out)["errata_notes"] == [
+        f"ValueError: scenario {section} value {key!r} is not a number: {value!r}"]
+    assert not out.exists()
+
+
+def test_overflowing_input_number_is_an_input_error(sw_fixture, tmp_path):
+    # an integer beyond the float range reaching float(): an OverflowError
+    # traceback with exit 1 in a check-map map file and a solve3d input file
+    huge = "1" + "0" * 400
+    map_path = sw_fixture[0]
+    map_path.write_text(map_path.read_text().replace('"hbar": 1.0', f'"hbar": {huge}'))
+    doc = json.loads(run_cli("gen3d", "--seed", "1", "--json").stdout)["payload"]
+    p3 = tmp_path / "p3.json"
+    p3.write_text(json.dumps(doc).replace('"hbar": 1.0', f'"hbar": {huge}'))
+    for argv in (["check-map", "--map", str(map_path), "--theta", str(sw_fixture[1])],
+                 ["solve3d", "--input", str(p3)]):
+        r = run_cli(*argv, "--json")
+        assert r.returncode == 2, (r.stdout, r.stderr)
+        assert "Traceback" not in r.stderr
+        assert strict_loads(r.stdout)["errata_notes"] == [
+            "OverflowError: int too large to convert to float"]
+
+
 def test_integral_float_steps_stay_a_count(scenario, tmp_path, capsys):
     # JSON does not tell 12 from 12.0: a float with no fraction is a count
     doc = tmp_path / "float_steps.json"
@@ -363,6 +401,18 @@ def test_runtime_and_zero_division_errors_are_error_reports(argv, scenario, tmp_
 
 SOLVE2D_ARGS = ["solve2d", "--theta", "1", "--eta", "2", "--f-theta", "2", "--f-eta", "4",
                 "--f-theta-x", "3"]
+
+
+def test_text_reports_hold_python_numbers(scenario, tmp_path, capsys):
+    # the engines return numpy columns; a numpy scalar reaching a text
+    # report would print as np.float64(...) or np.True_ through repr
+    for argv in (SOLVE2D_ARGS, SOLVE2D_ARGS + ["--f-theta-imag", "0.5"],
+                 SOLVE2D_ARGS[:-2] + ["--f-theta-y", "1.5"], MATCH_ARGS,
+                 ["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "t.csv")],
+                 ["equivalence", "--scenario", str(scenario)]):
+        assert cli.run(argv) == 0
+        text = capsys.readouterr().out
+        assert "np." not in text, text
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ an input error (a value that is not a number, an empty axis, a grid past
 the point cap) never reaches the engine: it is exit 2 with no rows.
 """
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -18,12 +19,15 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sweep_oracle
 from ncphase import cli
-from ncphase.nc2d import complete_2d_batch
+from ncphase.dynamics import FieldConfig, field_to_deformation_batch
+from ncphase.nc2d import Params2D, SingularBranchError, complete_2d_batch, params2d_to_doc
 from sweep_oracle import render, sweep_report
 from test_cli import strict_loads
 
@@ -247,8 +251,166 @@ def test_rendered_rows_match_the_per_point_path(name, monkeypatch):
 def test_error_rows_can_share_one_exception():
     # the case "shared-errors" and the singular lines above rely on this
     done = complete_2d_batch(1.0, 2.0, [1.0, 1.0, 2.0, -1.0, 1.0], 4.0, 3.0)
-    errors = list(done.errors.values())
-    assert len(errors) == 4 and errors[0] is errors[1] is errors[3]
+    errors = [done.error(i) for i in range(5)]
+    assert errors[2] is None and errors[3] is not None
+    assert errors[0] is errors[1] is errors[4]
+
+
+# The engines' result contract: each column an (N,) array, or the one
+# scalar every draw holds when its input was a scalar; each draw's first
+# failing stage in an int8 array, -1 where it passed.
+
+def oracle_completion(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, f_theta_y=None,
+                      f_theta_imag=0.0):
+    """The per-point path's Params2D of one draw, or the exception it raised."""
+    try:
+        if f_theta_imag:
+            return sweep_oracle.complete_2d_imaginary(
+                theta, eta, complex(f_theta, f_theta_imag), f_eta, f_theta_x, hbar)
+        if f_theta_y is not None:
+            return sweep_oracle.complete_2d(theta, eta, f_theta, f_eta, hbar=hbar,
+                                            f_theta_y=f_theta_y)
+        return sweep_oracle.complete_2d(theta, eta, f_theta, f_eta, f_theta_x, hbar)
+    except Exception as err:  # every error outcome is compared, type and message
+        return err
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    for name in (f.name for f in dataclasses.fields(Params2D)):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (type(a), repr(a)) == (type(b), repr(b)), name
+
+
+def draw(inputs, i):
+    return {k: v if np.ndim(v) == 0 else v[i].item() for k, v in inputs.items()}
+
+
+COMPLETION_DRAWS = {
+    # FThetaPlus, FThetaMinus, non-finite f_theta, ZeroPivot and passes;
+    # integer and -0.0 scalars
+    "x-pivot": {"theta": 1, "eta": 2.0, "f_eta": -0.0, "hbar": 2,
+                "f_theta": np.array([2.0, 1.0, NAN, -1.0, 3.0, 2.5]),
+                "f_theta_x": np.array([3.0, 3.0, 3.0, 3.0, 0.0, -1.5])},
+    "y-pivot": {"theta": -0.0, "eta": 2, "f_eta": np.array([4.0, 2.0, -2.0, INF, 5.0]),
+                "f_theta": 1.5, "f_theta_y": 3},
+    # imaginary draws beside real ones: mixed-type columns
+    "imaginary": {"theta": 1.0, "eta": 2.0, "f_eta": 4.0, "f_theta": 2, "f_theta_x": 3,
+                  "f_theta_y": 1.5, "f_theta_imag": np.array([0.0, 0.5, -2.0, NAN, 0.0])},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLETION_DRAWS))
+def test_completion_columns_match_the_scalar_path(name):
+    inputs = COMPLETION_DRAWS[name]
+    done = complete_2d_batch(**inputs)
+    n = done.stage.size
+    assert done.stage.dtype == np.int8 and done.stage.shape == (n,)
+    for i in range(n):
+        want = oracle_completion(**draw(inputs, i))
+        assert (done.stage[i] >= 0) == isinstance(want, Exception)
+        assert_same_outcome(done.error(i) or done.params(i), want)
+    for column in done[:-2]:  # an array of the draws, or one scalar
+        assert np.ndim(column) == 0 or column.shape == (n,)
+
+
+def test_scalar_inputs_give_scalar_columns():
+    f_theta = np.array([2.0, 1.0, 3.0, -1.0, NAN])
+    done = complete_2d_batch(1, 2.0, f_theta, -0.0, 3, 2)
+    assert (done.theta, done.hbar) == (1.0, 2.0) and type(done.theta) is float
+    assert repr(done.f_eta) == "-0.0"
+    assert done.f_theta_x == 3 and type(done.f_theta_x) is int  # the caller's own scalar
+    assert done.imaginary_mode is False
+    for column in (done.f_theta, done.f_theta_y, done.f_eta_x, done.f_eta_y, done.residual_max):
+        assert column.dtype == float and column.shape == (5,)
+    stage = done.stage.tolist()
+    assert stage[0] == stage[2] == -1 and len({stage[1], stage[3], stage[4]}) == 3
+    # a singular class is one exception its draws share; a non-finite
+    # input builds each draw's own message
+    assert isinstance(done.failures[stage[1]], SingularBranchError)
+    assert done.error(1) is done.failures[stage[1]]
+    assert str(done.error(4)) == "f_theta must be finite, got nan"
+
+
+def test_match_columns_match_the_scalar_path():
+    alpha_y = np.array([2.0, 0.0, 2.0, 2.0, NAN])
+    beta_y = np.array([2.0, 2.0, 3.0, 2.0, 2.0])
+    inputs = {"alpha_x": 1, "alpha_y": alpha_y, "beta_x": 1.0, "beta_y": beta_y, "e": 2,
+              "f_theta": np.array([0.5, 0.5, 0.5, -0.0, 0.5]), "hbar": 2, "theta": -0.0}
+    match = field_to_deformation_batch(**inputs)
+    assert match.stage.tolist()[0] == match.stage.tolist()[3] == -1
+    assert (match.params2d.theta, match.params2d.hbar) == (-0.0, 2.0)
+    assert repr(match.params2d.theta) == "-0.0" and match.params2d.imaginary_mode is False
+    for column in (match.eta, match.f_eta, match.kx, match.ky, match.params2d.f_theta):
+        assert column.dtype == float and column.shape == (5,)
+    for i in range(5):
+        d = draw(inputs, i)
+        try:
+            field = FieldConfig(d["alpha_x"], d["alpha_y"], d["beta_x"], d["beta_y"], e=d["e"])
+            want = sweep_oracle.field_to_deformation(field, d["f_theta"], d["hbar"], d["theta"])
+        except Exception as err:  # every error outcome is compared, type and message
+            want = err
+        got = match.error(i)
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            payload = want[0]
+            assert got is None
+            assert [match.eta[i], match.kx[i], match.ky[i]] == [
+                payload["eta"], payload["kx"], payload["ky"]]
+            assert params2d_to_doc(match.params2d.params(i)) == payload["params2d"]
+
+
+# Sweeps whose columns the renderer folds or masks: constant base values
+# (int, float, -0.0), an all-error chunk, mixed notes in one slice,
+# imaginary draws.  The value is the config and the SWEEP_CHUNK and
+# SWEEP_SLICE it runs with.
+CONTRACT_CASES = {
+    "constant-solve2d": ({"task": "solve2d",
+                          "base": {"theta": -0.0, "eta": 2, "f_eta": 4.0, "f_theta_x": 3,
+                                   "hbar": 0.5},
+                          "grid": {"f_theta": [2.0, -0.0, 0.0, 1.5], "f_eta": [4.0, -2.0]}},
+                         cli.SWEEP_CHUNK, SLICE),
+    "constant-match-field": ({"task": "match-field",
+                              "base": {"alpha_x": 1, "alpha_y": 2, "beta_x": 1.0, "theta": -0.0,
+                                       "hbar": 2, "e": 1, "m_p": 0.5},
+                              "grid": {"beta_y": [2.0, 3.0], "f_theta": [-0.0, 0.5, 0.0]}},
+                             cli.SWEEP_CHUNK, SLICE),
+    # the first chunk only singular rows, the second only pass rows, the third both
+    "all-error-chunk": ({"task": "solve2d", "base": INTEGER_BASE,
+                         "grid": {"f_theta": [1.0, -1.0, 1.0, -1.0, 2.0, 2.5, 3.0, 3.5, 1.0,
+                                              4.0]}},
+                        4, 2),
+    "all-error-match-field": ({"task": "match-field",
+                               "base": {"alpha_x": 1, "beta_x": 2, "beta_y": 4},
+                               "grid": {"alpha_y": [0.0, 2.0], "f_theta": [0.5, -0.5, 1.0]}},
+                              3, SLICE),
+    # singular kinds beside per-draw non-finite messages, and pass rows
+    "mixed-notes": ({"task": "solve2d", "base": {"theta": 1, "eta": 2.0, "f_theta_x": 3},
+                     "grid": {"f_theta": [1.0, NAN, -1.0, 2.0, INF, -1.0000000001],
+                              "f_eta": [4.0, 2.0, NAN]}},
+                    cli.SWEEP_CHUNK, SLICE),
+    "mixed-notes-match-field": ({"task": "match-field",
+                                 "base": {"alpha_x": 1.0, "beta_x": 1.0},
+                                 "grid": {"alpha_y": [2.0, 0.0, NAN], "beta_y": [2.0, 3.0],
+                                          "c": [0.0, 1.0]}},
+                                cli.SWEEP_CHUNK, 5),
+    "imaginary-integers": ({"task": "solve2d",
+                            "base": {"theta": 1, "eta": 2, "f_eta": 4, "f_theta_x": 3,
+                                     "f_theta_y": 1.5},
+                            "grid": {"f_theta": [2.0, 1.0, -0.0], "f_theta_imag": [0.0, 0.5]}},
+                           4, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_CASES))
+def test_folded_and_masked_rows_match_the_per_point_path(name, monkeypatch):
+    cfg, chunk, rows = CONTRACT_CASES[name]
+    monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+    monkeypatch.setattr(cli, "SWEEP_SLICE", rows)
+    assert_matches_oracle(cfg)
 
 
 def test_stdout_is_written_a_slice_at_a_time(tmp_path, monkeypatch):
@@ -275,9 +437,9 @@ def test_non_finite_payload_in_a_pass_row_is_an_error(monkeypatch):
     batch, row = cli._SWEEP_TASKS["solve2d"]
 
     def broken(cols):
-        errors, columns = batch(cols)
-        columns["f_eta_x"] = [NAN] * len(columns["f_eta_x"])
-        return errors, columns
+        done, columns = batch(cols)
+        columns["f_eta_x"] = np.full(len(columns["f_eta_x"]), NAN)
+        return done, columns
 
     monkeypatch.setitem(cli._SWEEP_TASKS, "solve2d", (broken, row))
     cfg = {"task": "solve2d", "base": dict(SOLVE2D_BASE, f_eta=4.0, f_theta_x=3.0),
