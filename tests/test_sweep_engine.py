@@ -232,11 +232,44 @@ RENDER_CASES = {
                             "grid": {"f_theta": [2.0, 3.0],
                                      "f_theta_x": [3.0, -1.5, 3.0, 0.5, -0.0, 0.0, 2.0]}},
                            5, SLICE),
-    # slices of 4 rows: all errors, all passes, then both; integer base values
+    # chunks of 4 rows in slices of 2: a chunk of only singular rows, one of
+    # only pass rows, one with an error slice beside a pass slice, then a
+    # slice with both; integer base values
     "error-slice-beside-pass-slice": ({"task": "solve2d", "base": INTEGER_BASE,
-                                       "grid": {"f_theta": [1.0, -1.0, 1.0, 1.0, 2.0, 2.5, 3.0,
-                                                            3.5, 1.0, 4.0]}},
-                                      cli.SWEEP_CHUNK, 4),
+                                       "grid": {"f_theta": [1.0, -1.0, 1.0, -1.0, 2.0, 2.5, 3.0,
+                                                            3.5, 1.0, -1.0, 2.0, 3.0, 1.0,
+                                                            4.0]}},
+                                      4, 2),
+    # constant base values (int, float, -0.0) folded into the row template
+    "constant-solve2d": ({"task": "solve2d",
+                          "base": {"theta": -0.0, "eta": 2, "f_eta": 4.0, "f_theta_x": 3,
+                                   "hbar": 0.5},
+                          "grid": {"f_theta": [2.0, -0.0, 0.0, 1.5], "f_eta": [4.0, -2.0]}},
+                         cli.SWEEP_CHUNK, SLICE),
+    "constant-match-field": ({"task": "match-field",
+                              "base": {"alpha_x": 1, "alpha_y": 2, "beta_x": 1.0, "theta": -0.0,
+                                       "hbar": 2, "e": 1, "m_p": 0.5},
+                              "grid": {"beta_y": [2.0, 3.0], "f_theta": [-0.0, 0.5, 0.0]}},
+                             cli.SWEEP_CHUNK, SLICE),
+    "all-error-match-field": ({"task": "match-field",
+                               "base": {"alpha_x": 1, "beta_x": 2, "beta_y": 4},
+                               "grid": {"alpha_y": [0.0, 2.0], "f_theta": [0.5, -0.5, 1.0]}},
+                              3, SLICE),
+    # singular kinds beside per-draw non-finite messages, and pass rows
+    "mixed-notes": ({"task": "solve2d", "base": {"theta": 1, "eta": 2.0, "f_theta_x": 3},
+                     "grid": {"f_theta": [1.0, NAN, -1.0, 2.0, INF, -1.0000000001],
+                              "f_eta": [4.0, 2.0, NAN]}},
+                    cli.SWEEP_CHUNK, SLICE),
+    "mixed-notes-match-field": ({"task": "match-field",
+                                 "base": {"alpha_x": 1.0, "beta_x": 1.0},
+                                 "grid": {"alpha_y": [2.0, 0.0, NAN], "beta_y": [2.0, 3.0],
+                                          "c": [0.0, 1.0]}},
+                                cli.SWEEP_CHUNK, 5),
+    "imaginary-integers": ({"task": "solve2d",
+                            "base": {"theta": 1, "eta": 2, "f_eta": 4, "f_theta_x": 3,
+                                     "f_theta_y": 1.5},
+                            "grid": {"f_theta": [2.0, 1.0, -0.0], "f_theta_imag": [0.0, 0.5]}},
+                           4, 3),
 }
 
 
@@ -252,8 +285,8 @@ def test_error_rows_can_share_one_exception():
     # the case "shared-errors" and the singular lines above rely on this
     done = complete_2d_batch(1.0, 2.0, [1.0, 1.0, 2.0, -1.0, 1.0], 4.0, 3.0)
     errors = [done.error(i) for i in range(5)]
-    assert errors[2] is None and errors[3] is not None
-    assert errors[0] is errors[1] is errors[4]
+    assert [e is None for e in errors] == [False, False, True, False, False]
+    assert errors[0] is errors[1] is errors[4] and errors[3] is not errors[0]
 
 
 # The engines' result contract: each column an (N,) array, or the one
@@ -361,56 +394,6 @@ def test_match_columns_match_the_scalar_path():
             assert [match.eta[i], match.kx[i], match.ky[i]] == [
                 payload["eta"], payload["kx"], payload["ky"]]
             assert params2d_to_doc(match.params2d.params(i)) == payload["params2d"]
-
-
-# Sweeps whose columns the renderer folds or masks: constant base values
-# (int, float, -0.0), an all-error chunk, mixed notes in one slice,
-# imaginary draws.  The value is the config and the SWEEP_CHUNK and
-# SWEEP_SLICE it runs with.
-CONTRACT_CASES = {
-    "constant-solve2d": ({"task": "solve2d",
-                          "base": {"theta": -0.0, "eta": 2, "f_eta": 4.0, "f_theta_x": 3,
-                                   "hbar": 0.5},
-                          "grid": {"f_theta": [2.0, -0.0, 0.0, 1.5], "f_eta": [4.0, -2.0]}},
-                         cli.SWEEP_CHUNK, SLICE),
-    "constant-match-field": ({"task": "match-field",
-                              "base": {"alpha_x": 1, "alpha_y": 2, "beta_x": 1.0, "theta": -0.0,
-                                       "hbar": 2, "e": 1, "m_p": 0.5},
-                              "grid": {"beta_y": [2.0, 3.0], "f_theta": [-0.0, 0.5, 0.0]}},
-                             cli.SWEEP_CHUNK, SLICE),
-    # the first chunk only singular rows, the second only pass rows, the third both
-    "all-error-chunk": ({"task": "solve2d", "base": INTEGER_BASE,
-                         "grid": {"f_theta": [1.0, -1.0, 1.0, -1.0, 2.0, 2.5, 3.0, 3.5, 1.0,
-                                              4.0]}},
-                        4, 2),
-    "all-error-match-field": ({"task": "match-field",
-                               "base": {"alpha_x": 1, "beta_x": 2, "beta_y": 4},
-                               "grid": {"alpha_y": [0.0, 2.0], "f_theta": [0.5, -0.5, 1.0]}},
-                              3, SLICE),
-    # singular kinds beside per-draw non-finite messages, and pass rows
-    "mixed-notes": ({"task": "solve2d", "base": {"theta": 1, "eta": 2.0, "f_theta_x": 3},
-                     "grid": {"f_theta": [1.0, NAN, -1.0, 2.0, INF, -1.0000000001],
-                              "f_eta": [4.0, 2.0, NAN]}},
-                    cli.SWEEP_CHUNK, SLICE),
-    "mixed-notes-match-field": ({"task": "match-field",
-                                 "base": {"alpha_x": 1.0, "beta_x": 1.0},
-                                 "grid": {"alpha_y": [2.0, 0.0, NAN], "beta_y": [2.0, 3.0],
-                                          "c": [0.0, 1.0]}},
-                                cli.SWEEP_CHUNK, 5),
-    "imaginary-integers": ({"task": "solve2d",
-                            "base": {"theta": 1, "eta": 2, "f_eta": 4, "f_theta_x": 3,
-                                     "f_theta_y": 1.5},
-                            "grid": {"f_theta": [2.0, 1.0, -0.0], "f_theta_imag": [0.0, 0.5]}},
-                           4, 3),
-}
-
-
-@pytest.mark.parametrize("name", sorted(CONTRACT_CASES))
-def test_folded_and_masked_rows_match_the_per_point_path(name, monkeypatch):
-    cfg, chunk, rows = CONTRACT_CASES[name]
-    monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
-    monkeypatch.setattr(cli, "SWEEP_SLICE", rows)
-    assert_matches_oracle(cfg)
 
 
 def test_stdout_is_written_a_slice_at_a_time(tmp_path, monkeypatch):
