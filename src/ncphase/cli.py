@@ -8,18 +8,21 @@ output; randomness enters only through --seed.
 """
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import os
 import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .algebra import map_from_json, params_from_json, verify_deformation
-from .nc2d import Params2D, SingularBranchError, _item, complete_2d_batch, params2d_to_doc
+from .nc2d import (_ONE_PIVOT, Params2D, SingularBranchError, _item, complete_2d_batch,
+                   params2d_to_doc)
 from .nc3d import generate_feasible_3d, params3d_from_json, params3d_to_doc, residual_3d, solve_3d
 from .dynamics import (DEFAULT_STEPS, ClosedFormCoeffs, DegenerateFieldError, FieldConfig,
                        NonMatchableError, equivalence_check, field_to_deformation_batch,
@@ -82,7 +85,7 @@ def _run_check_map(args):
     if hbar_map != params.hbar:  # a NaN hbar is a mismatch too
         return _report("check-map", "error",
                        notes=[f"hbar mismatch: map {hbar_map!r} vs params {params.hbar!r}"])
-    rep = verify_deformation(m, params, tol=args.get("tol", 1e-10))
+    rep = verify_deformation(m, params, tol=args["tol"])
     metrics = {
         "max_abs_xx": rep.max_abs_xx,
         "max_abs_pp": rep.max_abs_pp,
@@ -116,13 +119,13 @@ def _columns(batch, prefix=""):
             if name not in ("stage", "failures")}
 
 
+# Batched calls: (the batch result, its columns) of the draws whose
+# inputs ``cols`` holds, each a scalar or an (n,) array, under every
+# parameter name of the task.
+
+
 def _solve2d_batch(cols):
-    """(the batch result, its columns) of the draws whose inputs ``cols``
-    holds, each a scalar or an (n,) array."""
-    done = complete_2d_batch(cols["theta"], cols["eta"], cols["f_theta"], cols["f_eta"],
-                             cols.get("f_theta_x"), cols.get("hbar", 1.0),
-                             f_theta_y=cols.get("f_theta_y"),
-                             f_theta_imag=cols.get("f_theta_imag", 0.0))
+    done = complete_2d_batch(**cols)
     return done, _columns(done)
 
 
@@ -132,11 +135,7 @@ def _solve2d_row(v):
 
 
 def _match_field_batch(cols):
-    get = cols.get
-    match = field_to_deformation_batch(cols["alpha_x"], cols["alpha_y"], cols["beta_x"],
-                                       cols["beta_y"], get("e", 1.0), get("c", 1.0),
-                                       get("m_p", 1.0), get("f_theta", 0.0), get("hbar", 1.0),
-                                       get("theta", 0.0))
+    match = field_to_deformation_batch(**cols)
     columns = _columns(match)
     columns.update(_columns(columns.pop("params2d"), "params2d."))
     # of two scalars, a Python number as FieldConfig.b_z
@@ -153,25 +152,46 @@ def _match_field_row(v):
     return _report("match-field", "pass", metrics, payload, [MATCH_PAIRING_NOTE])
 
 
-def _run_one(task, args):
-    batch, row = _SWEEP_TASKS[task]
-    done, columns = batch(args)
+class _Task(NamedTuple):
+    """A task that runs as one command and as a sweep: its parameters, in
+    flag order, required ones first, the others with their defaults."""
+    help: str
+    required: tuple
+    defaults: dict
+    batch: Callable
+    row: Callable
+
+
+_TASKS = {
+    "solve2d": _Task("complete the 2D parameter set from a pivot",
+                     ("theta", "eta", "f_theta", "f_eta"),
+                     {"f_theta_x": None, "f_theta_y": None, "f_theta_imag": 0.0, "hbar": 1.0},
+                     _solve2d_batch, _solve2d_row),
+    "match-field": _Task("match a linear gauge field to a deformation",
+                         ("alpha_x", "alpha_y", "beta_x", "beta_y"),
+                         {"e": 1.0, "c": 1.0, "m_p": 1.0, "f_theta": 0.0, "theta": 0.0,
+                          "hbar": 1.0},
+                         _match_field_batch, _match_field_row),
+}
+
+
+def _run_task(task, args):
+    """The report of the one draw ``args`` gives every parameter of."""
+    if task == "solve2d" and args["f_theta_x"] is not None and args["f_theta_y"] is not None:
+        raise ValueError(_ONE_PIVOT)  # only a sweep mixes pivots, by f_theta_imag
+    spec = _TASKS[task]
+    done, columns = spec.batch(args)
     err = done.error(0)
     if err is not None:
         return _error_row(task, _error_note(err))
-    return row({name: _item(col, 0) for name, col in columns.items()})
-
-
-def _run_solve2d(args):
-    return _run_one("solve2d", args)
+    return spec.row({name: _item(col, 0) for name, col in columns.items()})
 
 
 def _run_gen3d(args):
-    p = generate_feasible_3d(args["seed"], args.get("hbar", 1.0),
-                             force_zero_c=args.get("force_zero_c", False))
+    p = generate_feasible_3d(args["seed"], args["hbar"], force_zero_c=args["force_zero_c"])
     payload = params3d_to_doc(p)
     metrics = {"residual_max": float(np.abs(residual_3d(p)).max())}
-    if args.get("out"):
+    if args["out"]:
         with open(args["out"], "w") as fh:
             fh.write(json.dumps(payload, sort_keys=True) + "\n")
     return _report("gen3d", "pass", metrics, payload)
@@ -181,12 +201,12 @@ def _run_solve3d(args):
     with open(args["input"]) as fh:
         p0 = params3d_from_json(fh.read())
     frozen = None
-    if args.get("frozen"):
+    if args["frozen"]:
         frozen = [tok for tok in args["frozen"].split(",") if tok.strip()]
-    res = solve_3d(p0, frozen=frozen, tol=args.get("tol", 1e-10),
-                   max_iter=args.get("max_iter", 50), trace=args.get("trace", False))
+    res = solve_3d(p0, frozen=frozen, tol=args["tol"], max_iter=args["max_iter"],
+                   trace=args["trace"])
     payload = params3d_to_doc(res.params)
-    if args.get("out"):  # the file carries the parameters only, never the trace
+    if args["out"]:  # the file carries the parameters only, never the trace
         with open(args["out"], "w") as fh:
             fh.write(json.dumps(payload, sort_keys=True) + "\n")
     metrics = {
@@ -195,33 +215,45 @@ def _run_solve3d(args):
         "iterations": res.iterations,
     }
     notes = [res.message] if res.message else []
-    if args.get("trace"):
+    if args["trace"]:
         payload["history"] = [[it, _finite_or_none(norm)] for it, norm in res.history]
     return _report("solve3d", "pass" if res.converged else "fail", metrics, payload, notes)
 
 
-def _run_match_field(args):
-    return _run_one("match-field", args)
+# the sections of a scenario beside its field, each key with its default
+_SCENARIO = {"coeffs": {"x1": 0.0, "x2": 0.0, "x3": 0.0, "y3": 0.0},
+             "params": {"hbar": 1.0, "f_theta": 0.0, "theta": 0.0}}
 
 
-def _load_scenario(path):
+def _check_keys(where, given, known):
+    unknown = sorted(set(given) - set(known))
+    if unknown:  # a misspelt key would run with the default
+        raise ValueError(f"{where} has no key {unknown[0]!r}")
+
+
+def _load_scenario(path, dt=None, steps=None):
+    """(field, coeffs, the keyword arguments of a run) of a scenario file:
+    hbar, f_theta and theta, each at its default where not given, and
+    ``dt`` and ``steps`` where given, else the file's."""
     with open(path) as fh:
         doc = json.load(fh)
-    field, c, params = doc["field"], doc.get("coeffs", {}), doc.get("params", {})
-    for name, value in (("field", field), ("coeffs", c), ("params", params)):
+    field, sections = doc["field"], {name: doc.get(name, {}) for name in _SCENARIO}
+    for name, value in (("field", field), *sections.items()):
         if not isinstance(value, dict):
             raise ValueError(f"scenario {name} is not a JSON object: {value!r}")
         for key, v in value.items():  # true would run as 1.0
             if not _is_number(v):
                 raise ValueError(f"scenario {name} value {key!r} is not a number: {v!r}")
+    _check_keys("scenario", doc, ("field", "dt", "steps", *_SCENARIO))
+    for name, value in sections.items():
+        _check_keys(f"scenario {name}", value, _SCENARIO[name])
+    c, params = ({**defaults, **sections[name]} for name, defaults in _SCENARIO.items())
     field = FieldConfig(**field)
-    dt = doc.get("dt")
-    if not (dt is None or _is_number(dt)):
-        raise ValueError(f"scenario dt is neither a number nor null: {dt!r}")
-    coeffs = ClosedFormCoeffs.for_field(
-        field, c.get("x1", 0.0), c.get("x2", 0.0), c.get("x3", 0.0), c.get("y3", 0.0)
-    )
-    return field, coeffs, params, dt, doc.get("steps")
+    if not (doc.get("dt") is None or _is_number(doc["dt"])):
+        raise ValueError(f"scenario dt is neither a number nor null: {doc['dt']!r}")
+    params["dt"] = doc.get("dt") if dt is None else dt
+    params["steps"] = _step_count(doc.get("steps") if steps is None else steps)
+    return field, ClosedFormCoeffs.for_field(field, **c), params
 
 
 def _step_count(steps):
@@ -238,48 +270,29 @@ def _step_count(steps):
 
 
 def _run_simulate(args):
-    field, coeffs, params, dt, steps = _load_scenario(args["scenario"])
-    if args.get("dt") is not None:
-        dt = args["dt"]
-    if args.get("steps") is not None:
-        steps = args["steps"]
-    steps = _step_count(steps)
+    field, coeffs, run = _load_scenario(args["scenario"], args["dt"], args["steps"])
     try:
-        traj, match = simulate_matched(
-            field, coeffs,
-            hbar=params.get("hbar", 1.0),
-            f_theta=params.get("f_theta", 0.0),
-            theta=params.get("theta", 0.0),
-            dt=dt, steps=steps,
-        )
+        traj, match = simulate_matched(field, coeffs, **run)
     except (NonMatchableError, DegenerateFieldError) as err:
-        return _report("simulate", "error", notes=[f"{type(err).__name__}: {err}"])
+        return _error_row("simulate", _error_note(err))
     with open(args["out"], "w") as fh:
         trajectory_to_csv(traj, fh)
     metrics = {
         "rows": int(traj.times.size),
         "dt": float(traj.times[1] - traj.times[0]),
-        "steps": steps,
+        "steps": run["steps"],
         "eta": match.eta,
     }
     return _report("simulate", "pass", metrics)
 
 
 def _run_equivalence(args):
-    field, coeffs, params, dt, steps = _load_scenario(args["scenario"])
+    field, coeffs, run = _load_scenario(args["scenario"])
     try:
-        rep = equivalence_check(
-            field, coeffs,
-            n_samples=args.get("samples", 64),
-            tol=args.get("tol", 1e-8),
-            hbar=params.get("hbar", 1.0),
-            f_theta=params.get("f_theta", 0.0),
-            theta=params.get("theta", 0.0),
-            dt=dt, steps=_step_count(steps),
-            eta_scale=args.get("eta_scale", 1.0),
-        )
+        rep = equivalence_check(field, coeffs, n_samples=args["samples"], tol=args["tol"],
+                                eta_scale=args["eta_scale"], **run)
     except (NonMatchableError, DegenerateFieldError) as err:
-        return _report("equivalence", "error", notes=[f"{type(err).__name__}: {err}"])
+        return _error_row("equivalence", _error_note(err))
     metrics = dict(rep.deviations)
     metrics.update({
         "omega_extracted": rep.omega_extracted,
@@ -291,9 +304,6 @@ def _run_equivalence(args):
                    notes=rep.errata_notes)
 
 
-# per task: its batched call, (result, columns) of n draws, and its row builder
-_SWEEP_TASKS = {"solve2d": (_solve2d_batch, _solve2d_row),
-                "match-field": (_match_field_batch, _match_field_row)}
 SWEEP_MAX_POINTS = 1_000_000
 # grid points per batched call: large enough that numpy, not dispatch,
 # does the work, small enough that memory stays flat up to the 1e6 cap
@@ -326,26 +336,6 @@ def _axis_length(name, spec):
     if length < 1:
         raise ValueError(f"grid {name!r} has no points")
     return length
-
-
-# the inputs each task's batched call reads
-_SWEEP_PARAMETERS = {
-    "solve2d": {"theta", "eta", "f_theta", "f_eta", "f_theta_x", "f_theta_y", "f_theta_imag",
-                "hbar"},
-    "match-field": {"alpha_x", "alpha_y", "beta_x", "beta_y", "e", "c", "m_p", "f_theta",
-                    "theta", "hbar"},
-}
-
-
-def _missing_parameter(task, given, imag_values):
-    """The first parameter ``task`` needs that neither base nor grid gives."""
-    if task == "match-field":
-        needed = ["alpha_x", "alpha_y", "beta_x", "beta_y"]
-    else:  # an imaginary draw completes from f_theta_x, a real one from f_theta_y if given
-        needed = ["theta", "eta", "f_theta", "f_eta"]
-        if "f_theta_y" not in given or any(imag_values):
-            needed.append("f_theta_x")
-    return next((name for name in needed if name not in given), None)
 
 
 class _Slots(dict):
@@ -421,8 +411,9 @@ class _Sweep:
 
     def __init__(self, task, base, names, axes):
         self.base, self.names, self.axes = base, names, axes
-        self.batch, row = _SWEEP_TASKS[task]
-        self.passed = _template(row(_Slots()), names)
+        spec = _TASKS[task]
+        self.batch = spec.batch
+        self.passed = _template(spec.row(_Slots()), names)
         self.failed = _template(_error_row(task, "\0note\0"), names)
         # columns that hold row texts, not values
         self.rendered = {"note"} | {f"point.{name}" for name in names}
@@ -540,7 +531,7 @@ def _run_sweep(args):
     if not isinstance(cfg, dict):
         return _report("sweep", "error", notes=["a sweep config is a JSON object"])
     task = cfg.get("task")
-    if task not in _SWEEP_TASKS:
+    if task not in _TASKS:
         return _report("sweep", "error", notes=[f"unknown sweep task {task!r}"])
     grid, base = cfg.get("grid", {}), cfg.get("base", {})
     for field, value in (("grid", grid), ("base", base)):
@@ -559,20 +550,26 @@ def _run_sweep(args):
     for name, v in base.items():
         if not _is_number(v):
             return _report("sweep", "error", notes=[f"base value {name!r} is not a number: {v!r}"])
-    unknown = sorted((set(base) | set(names)) - _SWEEP_PARAMETERS[task])
+    spec = _TASKS[task]
+    unknown = sorted((set(base) | set(names)) - {*spec.required, *spec.defaults})
     if unknown:  # a misspelt name would run every point alike
         return _report("sweep", "error",
                        notes=[f"sweep task {task} has no parameter {unknown[0]!r}"])
-    imag = dict(zip(names, axes)).get("f_theta_imag", [base.get("f_theta_imag", 0.0)])
-    missing = _missing_parameter(task, set(base) | set(names), imag)
+    given = {**base, **dict(zip(names, axes))}
+    needed = list(spec.required)
+    # an imaginary draw completes from f_theta_x, a real one from f_theta_y if given
+    if task == "solve2d" and ("f_theta_y" not in given or np.any(given.get("f_theta_imag", 0))):
+        needed.append("f_theta_x")
+    missing = next((name for name in needed if name not in given), None)
     if missing is not None:
         return _report("sweep", "error",
                        notes=[f"sweep task {task} needs {missing!r} in base or grid"])
+    base = {**spec.defaults, **base}
 
     # The rows are streamed, to --out or to stdout alike; with --out,
     # stdout carries the summary report
     report = _report("sweep", None, {"points": total}, {"rows": _Sweep(task, base, names, axes)})
-    if not args.get("out"):
+    if not args["out"]:
         return report
     with open(args["out"], "w") as fh:
         status = _write(report, True, fh)
@@ -606,25 +603,30 @@ def tolerance(text):
     return tol
 
 
+# a negative number, read as an option's value: argparse's own pattern
+# misses the exponent form that repr writes (-1e-05)
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(prog="ncphase")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+
+    def add_task(task):  # a flag per parameter, --f-theta-x for f_theta_x
+        spec = _TASKS[task]
+        p = sub.add_parser(task, help=spec.help)
+        for name in spec.required:
+            p.add_argument("--" + name.replace("_", "-"), type=float, required=True)
+        for name, default in spec.defaults.items():
+            p.add_argument("--" + name.replace("_", "-"), type=float, default=default)
 
     p = sub.add_parser("check-map", help="verify a map against a deformation target")
     p.add_argument("--map", required=True)
     p.add_argument("--theta", required=True)
     p.add_argument("--tol", type=tolerance, default=1e-10)
 
-    p = sub.add_parser("solve2d", help="complete the 2D parameter set from a pivot")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--f-theta", type=float, required=True)
-    p.add_argument("--f-eta", type=float, required=True)
-    p.add_argument("--f-theta-x", type=float)
-    p.add_argument("--f-theta-y", type=float)
-    p.add_argument("--f-theta-imag", type=float, default=0.0)
-    p.add_argument("--hbar", type=float, default=1.0)
+    add_task("solve2d")
 
     p = sub.add_parser("solve3d", help="damped Newton on the 3D residual")
     p.add_argument("--input", required=True)
@@ -640,17 +642,7 @@ def _build_parser():
     p.add_argument("--force-zero-c", action="store_true")
     p.add_argument("--out")
 
-    p = sub.add_parser("match-field", help="match a linear gauge field to a deformation")
-    p.add_argument("--alpha-x", type=float, required=True)
-    p.add_argument("--alpha-y", type=float, required=True)
-    p.add_argument("--beta-x", type=float, required=True)
-    p.add_argument("--beta-y", type=float, required=True)
-    p.add_argument("--e", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--m-p", type=float, default=1.0)
-    p.add_argument("--f-theta", type=float, default=0.0)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--hbar", type=float, default=1.0)
+    add_task("match-field")
 
     p = sub.add_parser("simulate", help="integrate both branches and write a trajectory CSV")
     p.add_argument("--scenario", required=True)
@@ -670,18 +662,18 @@ def _build_parser():
 
     for sp in sub.choices.values():
         sp.add_argument("--json", action="store_true", dest="as_json")
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
     return ap
 
 
 _HANDLERS = {
     "check-map": _run_check_map,
-    "solve2d": _run_solve2d,
     "solve3d": _run_solve3d,
     "gen3d": _run_gen3d,
-    "match-field": _run_match_field,
     "simulate": _run_simulate,
     "equivalence": _run_equivalence,
     "sweep": _run_sweep,
+    **{task: functools.partial(_run_task, task) for task in _TASKS},
 }
 
 

@@ -492,6 +492,10 @@ FREQUENCY_NOTE = (
     "frequency convention: the momentum-sector rotation rate is |eta|/(m_p*hbar); "
     "the doubled variant 2*eta/(m_p*hbar) fails the extraction check by a factor of two"
 )
+STATIC_FIELD_NOTE = (
+    "b_z = 0: nothing rotates (omega = 0), so the orbit stands still and every deviation "
+    "is zero, up to rounding, by construction"
+)
 
 
 def extract_rotation_frequency(times, px, py):
@@ -510,10 +514,11 @@ def equivalence_check(field, coeffs, n_samples=64, tol=1e-8, hbar=1.0, f_theta=0
     against |eta| / (m_p hbar) and |e b_z / (c m_p)|.  A null ``dt``
     means period / DEFAULT_STEPS whatever ``steps`` is, as in
     simulate_matched, so the span is one period only at the default
-    step count.
+    step count.  At b_z = 0 the checks hold vacuously, and the report
+    says so with STATIC_FIELD_NOTE.
     """
     traj, match = simulate_matched(field, coeffs, hbar, f_theta, theta, dt, steps, eta_scale)
-    notes = []
+    notes = [STATIC_FIELD_NOTE] if field.b_z == 0.0 else []
 
     ts = np.linspace(traj.times[0], traj.times[-1], n_samples)
     pxh, pyh = nc_closed_form(coeffs, field, ts)

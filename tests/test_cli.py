@@ -1,4 +1,5 @@
 """End-to-end CLI runs through subprocess: exit codes, schemas, determinism."""
+import argparse
 import json
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import pytest
 from csv_oracle import trajectory_csv
 from ncphase import cli
 from ncphase.algebra import DeformationParams, map_to_json, params_to_json, sw_map
-from ncphase.dynamics import CSV_CHUNK, ClosedFormCoeffs, FieldConfig, period, simulate_matched
+from ncphase.dynamics import (CSV_CHUNK, STATIC_FIELD_NOTE, ClosedFormCoeffs, FieldConfig, period,
+                              simulate_matched)
 
 CLI = [sys.executable, "-m", "ncphase.cli"]
 
@@ -128,6 +130,42 @@ def test_solve2d_singular_exit_code():
                 "--f-eta", "4", "--f-theta-x", "3")
     assert r.returncode == 2
     assert "FThetaPlus" in r.stdout
+
+
+@pytest.mark.parametrize("pivots", [[], ["--f-theta-x", "3", "--f-theta-y", "7"]],
+                         ids=["neither", "both"])
+def test_solve2d_takes_exactly_one_pivot(pivots, capsys):
+    # with both, the given f_theta_x was dropped and the y pivot's completion reported
+    code, out = run_in_process(["solve2d", "--theta", "1", "--eta", "2", "--f-theta", "2",
+                                "--f-eta", "4", *pivots, "--json"], capsys)
+    assert code == 2
+    assert strict_loads(out)["errata_notes"] == [
+        "ValueError: exactly one of f_theta_x, f_theta_y must be given"]
+
+
+def _subparsers():
+    return next(action.choices for action in cli._PARSER._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+FLOAT_FLAGS = [(command, action) for command, parser in _subparsers().items()
+               for action in parser._actions if action.type is float]
+
+
+@pytest.mark.parametrize("command, action", FLOAT_FLAGS,
+                         ids=[f"{c}{a.option_strings[0]}" for c, a in FLOAT_FLAGS])
+def test_float_flags_take_negative_numbers_in_exponent_form(command, action):
+    # space-separated, a value in the form repr writes was a usage error
+    argv = [command]
+    for other in _subparsers()[command]._actions:
+        if other.required and other is not action:
+            argv += [other.option_strings[0], "1"]
+    for value in ["-2e+0", "-1e-05", "-.5E3", "-7"]:
+        ns = cli._PARSER.parse_args(argv + [action.option_strings[0], value])
+        assert getattr(ns, action.dest) == float(value)
+    with pytest.raises(SystemExit) as exc:  # still an option name, so a usage error
+        cli._PARSER.parse_args(argv + [action.option_strings[0], "-inf"])
+    assert exc.value.code == 2
 
 
 def test_unknown_flag_is_an_error():
@@ -250,12 +288,16 @@ def test_equivalence_nan_step_is_an_input_error(scenario, tmp_path):
     ("steps", True, "steps must be a whole number, got True"),
     ("steps", "12", "steps must be a whole number, got '12'"),
     ("dt", True, "scenario dt is neither a number nor null: True"),
+    ("stepz", 2, "scenario has no key 'stepz'"),
+    ("params", {"hbarr": 2}, "scenario params has no key 'hbarr'"),
+    ("coeffs", {"x_1": 0.5}, "scenario coeffs has no key 'x_1'"),
 ], ids=["coeffs-list", "params-list", "steps-overflow", "steps-fraction", "steps-bool",
-        "steps-string", "dt-bool"])
+        "steps-string", "dt-bool", "misspelt-steps", "misspelt-hbar", "misspelt-x1"])
 def test_scenario_fields_have_their_types(command, field, value, note, scenario, tmp_path,
                                           capsys):
     # a list for coeffs or params was an AttributeError traceback, steps
-    # 1e400 an OverflowError one; 12.7 ran 12 steps, true 1 and "12" 12
+    # 1e400 an OverflowError one; 12.7 ran 12 steps, true 1 and "12" 12; a
+    # misspelt key ran with the defaults
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(json.loads(scenario.read_text()), **{field: value})))
     out = tmp_path / "traj.csv"
@@ -284,6 +326,18 @@ def test_scenario_values_are_json_numbers(command, section, key, value, scenario
     assert strict_loads(capsys.readouterr().out)["errata_notes"] == [
         f"ValueError: scenario {section} value {key!r} is not a number: {value!r}"]
     assert not out.exists()
+
+
+def test_equivalence_at_zero_field_says_its_pass_is_vacuous(scenario, tmp_path, capsys):
+    doc = json.loads(scenario.read_text())
+    doc["field"] = {"alpha_x": 1.0, "alpha_y": 1.0, "beta_x": 1.0, "beta_y": 1.0}  # b_z = 0
+    static = tmp_path / "static.json"
+    static.write_text(json.dumps(doc))
+    assert cli.run(["equivalence", "--scenario", str(static), "--json"]) == 0
+    report = strict_loads(capsys.readouterr().out)
+    assert report["errata_notes"] == [STATIC_FIELD_NOTE]
+    assert cli.run(["equivalence", "--scenario", str(scenario), "--json"]) == 0
+    assert STATIC_FIELD_NOTE not in strict_loads(capsys.readouterr().out)["errata_notes"]
 
 
 def test_overflowing_input_number_is_an_input_error(sw_fixture, tmp_path):
@@ -532,21 +586,48 @@ def test_equivalence_detects_mismatch(scenario):
     assert r.returncode == 1
 
 
-def test_sweep_single_point_matches_direct_run(tmp_path):
+def run_in_process(argv, capsys):
+    """(exit code, stdout) of ``cli.run(argv)``; an argparse rejection is its exit code."""
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+SOLVE2D_POINT = {"theta": 1.0, "eta": 2.0, "f_theta": 2.0, "f_eta": 4.0}
+MATCH_POINT = {"alpha_x": 1.0, "alpha_y": 2.0, "beta_x": 1.0, "beta_y": 2.0}
+
+
+@pytest.mark.parametrize("task, point", [
+    ("solve2d", dict(SOLVE2D_POINT, f_theta_x=3.0)),
+    ("solve2d", dict(SOLVE2D_POINT, f_theta_y=1.0)),
+    ("solve2d", dict(SOLVE2D_POINT, f_theta_x=3.0, f_theta_imag=0.5)),
+    ("solve2d", dict(SOLVE2D_POINT, f_theta_x=3.0, hbar=2.0)),
+    ("match-field", MATCH_POINT),
+    ("match-field", dict(MATCH_POINT, e=2.0)),
+    ("match-field", dict(MATCH_POINT, c=0.5)),
+    ("match-field", dict(MATCH_POINT, m_p=3.0)),
+    ("match-field", dict(MATCH_POINT, f_theta=0.25)),
+    ("match-field", dict(MATCH_POINT, theta=-0.5)),
+    ("match-field", dict(MATCH_POINT, hbar=2.0)),
+], ids=lambda v: v if isinstance(v, str) else "-".join(list(v)[4:]) or "defaults")
+def test_sweep_single_point_matches_direct_run(task, point, tmp_path, capsys):
+    # each optional parameter omitted and given: a default that differs
+    # between a flag and the sweep shows as a different row
+    flags = [f"--{name.replace('_', '-')}={value!r}" for name, value in point.items()]
+    code, out = run_in_process([task, *flags, "--json"], capsys)
+    assert code == 0, out
+    direct = strict_loads(out)
+    axis = next(iter(point))  # the grid varies one required parameter over one value
     cfg = tmp_path / "sweep.json"
-    cfg.write_text(json.dumps({
-        "task": "solve2d",
-        "base": {"theta": 1.0, "eta": 2.0, "f_eta": 4.0, "f_theta_x": 3.0},
-        "grid": {"f_theta": [2.0]},
-    }))
-    r = run_cli("sweep", "--config", str(cfg), "--json")
-    assert r.returncode == 0
-    rows = json.loads(r.stdout)["payload"]["rows"]
-    assert len(rows) == 1
-    direct = json.loads(run_cli(
-        "solve2d", "--theta", "1", "--eta", "2", "--f-theta", "2",
-        "--f-eta", "4", "--f-theta-x", "3", "--json").stdout)
-    assert rows[0]["payload"] == direct["payload"]
+    cfg.write_text(json.dumps({"task": task, "grid": {axis: [point[axis]]},
+                               "base": {k: v for k, v in point.items() if k != axis}}))
+    code, out = run_in_process(["sweep", "--config", str(cfg), "--json"], capsys)
+    assert code == 0, out
+    (row,) = strict_loads(out)["payload"]["rows"]
+    assert row.pop("point") == {axis: point[axis]}
+    assert row == direct
 
 
 def test_sweep_singular_row_continues(tmp_path):

@@ -417,14 +417,14 @@ def test_stdout_is_written_a_slice_at_a_time(tmp_path, monkeypatch):
 
 def test_non_finite_payload_in_a_pass_row_is_an_error(monkeypatch):
     # the writer never writes NaN or Infinity: such a row ends the sweep with exit 2
-    batch, row = cli._SWEEP_TASKS["solve2d"]
+    task = cli._TASKS["solve2d"]
 
     def broken(cols):
-        done, columns = batch(cols)
+        done, columns = task.batch(cols)
         columns["f_eta_x"] = np.full(len(columns["f_eta_x"]), NAN)
         return done, columns
 
-    monkeypatch.setitem(cli._SWEEP_TASKS, "solve2d", (broken, row))
+    monkeypatch.setitem(cli._TASKS, "solve2d", task._replace(batch=broken))
     cfg = {"task": "solve2d", "base": dict(SOLVE2D_BASE, f_eta=4.0, f_theta_x=3.0),
            "grid": {"f_theta": [2.0, 3.0]}}
     code, stdout, _ = sweep(json.dumps(cfg), out=True)
