@@ -14,6 +14,7 @@ cross-bracket hbar*I.  Everything here is plain dense numpy; instances
 are immutable value objects.
 """
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,16 +175,25 @@ class BracketTable:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Max-entry deviations of a map's brackets from a deformation target."""
+    """Max-entry deviations of a map's brackets from a deformation target,
+    and the scale of each sector: hbar times the product of the largest
+    entries of the blocks its bracket is built from."""
 
     max_abs_xx: float
     max_abs_pp: float
     max_abs_xp: float
     tol: float
+    scale_xx: float
+    scale_pp: float
+    scale_xp: float
 
     @property
     def passed(self):
-        return max(self.max_abs_xx, self.max_abs_pp, self.max_abs_xp) <= self.tol
+        """Each deviation is finite and at most tol times its sector's
+        scale; a zero scale demands a zero deviation."""
+        sectors = ((self.max_abs_xx, self.scale_xx), (self.max_abs_pp, self.scale_pp),
+                   (self.max_abs_xp, self.scale_xp))
+        return all(math.isfinite(dev) and dev <= self.tol * scale for dev, scale in sectors)
 
 
 def symplectic_form(dim):
@@ -220,16 +230,23 @@ def bracket_table(m, hbar=1.0):
 
 
 def verify_deformation(m, params, tol=1e-10):
-    """Report whether a map reproduces the target brackets within tol."""
+    """Report whether a map reproduces the target brackets within tol,
+    relative to each sector's scale: with |X| the largest entry of block
+    X, hbar |A||B| for xx, hbar |C||D| for pp and hbar max(|A||D|, |B||C|)
+    for xp.  Rescaling the sectors by powers of two keeps the verdict."""
     if m.dim != params.dim:
         raise DimensionMismatchError("map and params dims differ")
     t = bracket_table(m, params.hbar)
     eye = params.hbar * np.eye(params.dim)
+    a, b, c, d = (float(np.abs(block).max()) for block in (m.A, m.B, m.C, m.D))
     return ResidualReport(
         max_abs_xx=float(np.abs(t.xx - params.theta).max()),
         max_abs_pp=float(np.abs(t.pp - params.eta).max()),
         max_abs_xp=float(np.abs(t.xp - eye).max()),
         tol=float(tol),
+        scale_xx=params.hbar * a * b,
+        scale_pp=params.hbar * c * d,
+        scale_xp=params.hbar * max(a * d, b * c),
     )
 
 

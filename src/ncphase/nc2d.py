@@ -16,7 +16,6 @@ Classification and completion are written once, over arrays of draws
 """
 import cmath
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -127,45 +126,10 @@ def _failure(stage, failures, i):
     return make if isinstance(make, Exception) else make(i)
 
 
-_POW = np.frompyfunc(math.pow, 2, 1)
-
-
-def _square(x):
-    """x**2 rounded as Python's float power rounds it: the C library pow,
-    which differs from x*x in the last bit on about 0.1% of inputs.  Draws
-    whose square overflows read inf."""
-    sq = x * x
-    ok = np.isfinite(sq)
-    values, inverse = np.unique(x[ok], return_inverse=True)
-    sq[ok] = _POW(values, 2.0).astype(float)[inverse]
-    return sq
-
-
-def _magnitude(v):
-    # Python's abs of a complex is the C library hypot; numpy's complex abs
-    # rounds differently
-    return np.hypot(v.real, v.imag) if np.iscomplexobj(v) else np.abs(v)
-
-
-def _cprod(ar, ai, br, bi):
-    # Python's complex product, on real and imaginary parts
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cquot(ar, ai, br, bi):
-    # Python's complex quotient (Smith's method, dividing by denom), on
-    # real and imaginary parts; a zero divisor never reaches a regular draw
-    by_real = np.abs(br) >= np.abs(bi)
-    ratio = np.where(by_real, bi / br, br / bi)
-    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-    re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
-    im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
-    return re, im
-
-
-def singular_tolerance(theta, f_theta):
-    """The absolute tolerance of singular-class detection."""
-    return 1e-10 * np.maximum(np.maximum(_magnitude(theta), _magnitude(f_theta)), 1.0)
+def singular_tolerance(x, f_x):
+    """The absolute tolerance of singular-class detection in one sector:
+    (theta, f_theta) or (eta, f_eta)."""
+    return 1e-10 * np.maximum(np.maximum(np.abs(x), np.abs(f_x)), 1.0)
 
 
 def classify_singular_batch(theta, eta, f_theta, f_eta, pivot):
@@ -173,14 +137,16 @@ def classify_singular_batch(theta, eta, f_theta, f_eta, pivot):
     SINGULAR_KINDS.
 
     Order: FThetaPlus, FThetaMinus, FEtaPlus, FEtaMinus, ZeroPivot,
-    Regular, each detected to singular_tolerance.  Arguments are scalars
-    or arrays that broadcast together; f_theta may be complex.
+    Regular, each detected to the singular_tolerance of its own sector:
+    the theta sector's for the FTheta classes and the pivot, the eta
+    sector's for the FEta classes.  Arguments are scalars or arrays that
+    broadcast together; f_theta may be complex.
     """
     theta, eta, f_theta, f_eta, pivot = map(np.asarray, (theta, eta, f_theta, f_eta, pivot))
-    tol = singular_tolerance(theta, f_theta)
-    hits = [_magnitude(f_theta - theta) <= tol, _magnitude(f_theta + theta) <= tol,
-            _magnitude(f_eta - eta) <= tol, _magnitude(f_eta + eta) <= tol,
-            _magnitude(pivot) <= tol]
+    tol, eta_tol = singular_tolerance(theta, f_theta), singular_tolerance(eta, f_eta)
+    hits = [np.abs(f_theta - theta) <= tol, np.abs(f_theta + theta) <= tol,
+            np.abs(f_eta - eta) <= eta_tol, np.abs(f_eta + eta) <= eta_tol,
+            np.abs(pivot) <= tol]
     return np.select(hits, range(len(hits)), _REGULAR).astype(np.int8)
 
 
@@ -264,7 +230,8 @@ def complete_2d_batch(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, *,
     f_theta_x, as complete_2d does.  Each draw fails exactly as that
     scalar call would, in the same order of checks, with the same
     exception and message: a non-finite input, hbar <= 0, a singular
-    class, an overflow, disagreeing pivot routes, a residual above
+    class, a completed field that is not finite (an overflow),
+    disagreeing pivot routes, a residual that is not finite or above
     tolerance.  A missing pivot raises ValueError for the whole call.
     """
     if f_theta_x is None and f_theta_y is None:
@@ -288,8 +255,7 @@ def complete_2d_batch(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, *,
 
         # real draws, either pivot
         minus, plus = fr - t, fr + t
-        f2, t2 = _square(fr), _square(t)
-        sq = (f2 - t2) / real_pivot
+        sq = minus * plus / real_pivot
         if by_y:
             ftx, fty = sq, fy
             fex = -((fe + e) / plus) * fy
@@ -307,16 +273,16 @@ def complete_2d_batch(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, *,
                                                         np.abs(route_b))
         fields = (t, e, fr, fe, ftx, fty, fex, fey)
         resid = np.abs(_residual_entries(*fields)).max(axis=1)
-        overflow = ~(np.isfinite(f2) & np.isfinite(t2))
+        overflow = ~(np.isfinite(sq) & np.isfinite(fex) & np.isfinite(fey))
 
         if any_imag:  # x pivot; f_theta - theta is (fr - t) + i fi
-            i_fty = (fr * fr - fi * -fi - t2) / fx
-            q = _cquot(fe - e, 0.0, minus, fi)
-            i_fey = _complex(*_cprod(-q[0], -q[1], fx, 0.0))
-            i_fex = _complex(*_cquot(*_cprod(-minus, -fi, fe + e, 0.0), fx, 0.0))
+            i_minus = _complex(minus, fi)
+            i_fty = (minus * plus + fi * fi) / fx
+            i_fey = -((fe - e) / i_minus) * fx
+            i_fex = -i_minus * (fe + e) / fx
             i_resid = np.abs(_residual_entries(t, e, z, fe, fx, i_fty, i_fex, i_fey,
                                                conjugate=True)).max(axis=1)
-            overflow = np.where(imag, ~(np.isfinite(t2) & np.isfinite(i_fty) & np.isfinite(i_fex)
+            overflow = np.where(imag, ~(np.isfinite(i_fty) & np.isfinite(i_fex)
                                         & np.isfinite(i_fey)), overflow)
             resid = np.where(imag, i_resid, resid)
 
@@ -394,16 +360,20 @@ def complete_2d(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, *, f_theta
     Exactly one of f_theta_x, f_theta_y must be given.  With the x
     pivot:
 
-        f_theta_y = (f_theta^2 - theta^2) / f_theta_x
+        f_theta_y = (f_theta - theta) * (f_theta + theta) / f_theta_x
         f_eta_y   = -((f_eta - eta) / (f_theta - theta)) * f_theta_x
         f_eta_x   = -(f_theta - theta) * (f_eta + eta) / f_theta_x
 
-    f_eta_x is also computed through the mirror route
-    -((f_eta + eta)/(f_theta + theta)) * f_theta_y and the two values
-    must agree to 1e-12 relative.  The y pivot derives the mirrored
-    formulas.  Non-regular draws raise SingularBranchError; non-finite
-    arguments, hbar <= 0, and finite arguments whose completion
-    overflows, raise ValueError.  The one-draw call of complete_2d_batch.
+    f_theta^2 - theta^2 is evaluated factored, so it does not cancel near
+    a singular line: every completed field is within 4 ulps of the exact
+    value (2.8 ulps was the worst measured, on uniform draws and on draws
+    1e-9..1e-3 relative off a line).  f_eta_x is also computed through
+    the mirror route -((f_eta + eta)/(f_theta + theta)) * f_theta_y and
+    the two values must agree to 1e-12 relative.  The y pivot derives
+    the mirrored formulas.  Non-regular draws raise SingularBranchError;
+    non-finite arguments, hbar <= 0, and finite arguments with a
+    completed field that is not finite raise ValueError.  The one-draw
+    call of complete_2d_batch.
     """
     if f_theta_x is not None and f_theta_y is not None:
         raise ValueError(_ONE_PIVOT)
@@ -414,15 +384,22 @@ def complete_2d(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, *, f_theta
 def complete_2d_imaginary(theta, eta, f_theta, f_eta, f_theta_x, hbar=1.0):
     """Completion variant admitting complex f_theta.
 
-    A purely real f_theta reduces exactly to complete_2d.  Otherwise the
-    pivot relation uses the conjugate product,
+    A purely real f_theta reduces exactly to complete_2d.  Otherwise,
+    with f_theta = f + i fi, the pivot relation uses the conjugate
+    product,
 
-        f_theta_y = (f_theta * conj(f_theta) - theta^2) / f_theta_x,
+        f_theta_y = (f_theta * conj(f_theta) - theta^2) / f_theta_x
+                  = ((f - theta) * (f + theta) + fi^2) / f_theta_x,
 
-    and the off-diagonal momentum-sector entries keep the closed forms
-    evaluated over the complex numbers.  Non-finite arguments, hbar <= 0
-    and an overflowing completion raise ValueError.  The one-draw call
-    of complete_2d_batch.
+    evaluated in the second form, and the off-diagonal momentum-sector
+    entries keep the closed forms evaluated over the complex numbers.
+    f_eta_x and f_eta_y are within 6 ulps of the exact value's magnitude,
+    and so is f_theta_y while its two terms cancel by at most half.  Near
+    the circle |f_theta| = |theta| they cancel, and f_theta_y keeps an
+    absolute error of a few ulps of the terms' size: 7e8 ulps of the
+    value was measured at a relative gap of 1e-9.  Non-finite arguments,
+    hbar <= 0 and a completed field that is not finite raise ValueError.
+    The one-draw call of complete_2d_batch.
     """
     z = complex(f_theta)
     return complete_2d_batch(theta, eta, z.real, f_eta, f_theta_x, hbar,

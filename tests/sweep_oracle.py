@@ -1,10 +1,11 @@
 """Reference sweep: the per-point path the batched engine replaced.
 
-A copy of the scalar 2D completion (``classify_singular``,
-``complete_2d``, ``complete_2d_imaginary``), of the scalar
-``field_to_deformation`` and of the sweep loop that called
-``_run_solve2d`` / ``_run_match_field`` once per grid point, as they
-were before the engine became batched.  ``sweep_document(cfg)`` gives
+The sweep loop that called ``_run_solve2d`` / ``_run_match_field`` once
+per grid point, as it was before the engine became batched, with a copy
+of the scalar ``field_to_deformation``.  Each ``solve2d`` point is one
+N=1 call of the engine (``complete_2d``, ``complete_2d_imaginary``),
+whose completion ``exact_oracle`` checks; so the tests of the streamed
+writer compare it with a per-point path.  ``sweep_document(cfg)`` gives
 the exact text ``sweep --json`` printed for ``cfg`` (without the final
 newline), which is also the text of the ``--out`` file; ``render`` gives
 the text of a report either way, ``--json`` or not.
@@ -14,7 +15,6 @@ them differently on purpose: ``hbar <= 0`` (an input error now) and a
 ``match-field`` point whose largest matched entry squares past the float
 range (an ``OverflowError`` here, the overflow outcome or a pass now).
 """
-import cmath
 import itertools
 import json
 import math
@@ -22,132 +22,11 @@ import math
 import numpy as np
 
 from ncphase.dynamics import DegenerateFieldError, FieldConfig, NonMatchableError
-from ncphase.nc2d import Params2D, SingularBranchError, SingularKind
+from ncphase.nc2d import (Params2D, SingularBranchError, complete_2d, complete_2d_imaginary,
+                          residual_2d)
 
-RESIDUAL_TOL = 1e-12
-ROUTE_AGREEMENT_RTOL = 1e-12
 MATCH_RESIDUAL_TOL = 1e-12
 PROPORTIONALITY_RTOL = 1e-12
-
-
-def _as_scalar(v):
-    if isinstance(v, complex) and v.imag == 0.0:
-        return v.real
-    return v
-
-
-_INPUT_NAMES = ("theta", "eta", "f_theta", "f_eta", "f_theta_x", "f_theta_y", "hbar")
-
-
-def _check_finite(values):
-    for name, v in zip(_INPUT_NAMES, values):
-        if v is not None and not cmath.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
-
-
-def _square(x):
-    try:
-        return x**2
-    except OverflowError:
-        raise ValueError("the completion overflows") from None
-
-
-def classify_singular(theta, eta, f_theta, f_eta, pivot):
-    tol = 1e-10 * max(abs(theta), abs(f_theta), 1.0)
-    if abs(f_theta - theta) <= tol:
-        return SingularKind.F_THETA_PLUS
-    if abs(f_theta + theta) <= tol:
-        return SingularKind.F_THETA_MINUS
-    if abs(f_eta - eta) <= tol:
-        return SingularKind.F_ETA_PLUS
-    if abs(f_eta + eta) <= tol:
-        return SingularKind.F_ETA_MINUS
-    if abs(pivot) <= tol:
-        return SingularKind.ZERO_PIVOT
-    return SingularKind.REGULAR
-
-
-def residual_2d(p):
-    f = p.f_theta
-    lower = f.conjugate() if p.imaginary_mode else f
-    sign = -1
-    Bm = np.array([[p.f_theta_x, f + sign * p.theta], [lower - sign * p.theta, p.f_theta_y]])
-    Gm = np.array([[p.f_eta_x, p.f_eta + sign * p.eta], [p.f_eta - sign * p.eta, p.f_eta_y]])
-    R = (Bm @ Gm).reshape(-1)
-    if p.imaginary_mode:
-        return np.abs(R)
-    return R.real if np.iscomplexobj(R) else R
-
-
-def _residual_scale(p):
-    vals = [p.theta, p.eta, p.f_theta, p.f_eta, p.f_theta_x, p.f_theta_y, p.f_eta_x, p.f_eta_y]
-    m = max(abs(v) for v in vals)
-    return m * m
-
-
-def complete_2d(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, *, f_theta_y=None):
-    if (f_theta_x is None) == (f_theta_y is None):
-        raise ValueError("exactly one of f_theta_x, f_theta_y must be given")
-    _check_finite((theta, eta, f_theta, f_eta, f_theta_x, f_theta_y, hbar))
-    pivot = f_theta_x if f_theta_x is not None else f_theta_y
-    kind = classify_singular(theta, eta, f_theta, f_eta, pivot)
-    if kind is not SingularKind.REGULAR:
-        raise SingularBranchError(kind)
-
-    minus = f_theta - theta
-    plus = f_theta + theta
-    if f_theta_x is not None:
-        f_theta_y = (_square(f_theta) - _square(theta)) / f_theta_x
-        f_eta_y = -((f_eta - eta) / minus) * f_theta_x
-        route_a = -((f_eta + eta) / plus) * f_theta_y
-        route_b = -minus * (f_eta + eta) / f_theta_x
-        f_eta_x = route_b
-    else:
-        f_theta_x = (_square(f_theta) - _square(theta)) / f_theta_y
-        f_eta_x = -((f_eta + eta) / plus) * f_theta_y
-        route_a = -((f_eta - eta) / minus) * f_theta_x
-        route_b = -plus * (f_eta - eta) / f_theta_y
-        f_eta_y = route_b
-    gap = abs(route_a - route_b)
-    if gap > ROUTE_AGREEMENT_RTOL * max(1.0, abs(route_a), abs(route_b)):
-        raise RuntimeError(f"pivot routes disagree by {gap:.3e}")
-
-    p = Params2D(
-        theta=float(theta), eta=float(eta), f_theta=_as_scalar(f_theta), f_eta=float(f_eta),
-        f_theta_x=_as_scalar(f_theta_x), f_theta_y=_as_scalar(f_theta_y),
-        f_eta_x=_as_scalar(f_eta_x), f_eta_y=_as_scalar(f_eta_y), hbar=float(hbar),
-    )
-    scale = max(1.0, _residual_scale(p))
-    worst = float(np.abs(residual_2d(p)).max())
-    if not math.isfinite(worst):
-        raise ValueError("the completion overflows")
-    if worst > RESIDUAL_TOL * scale:
-        raise RuntimeError(f"completion residual {worst:.3e} exceeds tolerance")
-    return p
-
-
-def complete_2d_imaginary(theta, eta, f_theta, f_eta, f_theta_x, hbar=1.0):
-    _check_finite((theta, eta, f_theta, f_eta, f_theta_x, None, hbar))
-    f_theta = complex(f_theta)
-    if f_theta.imag == 0.0:
-        return complete_2d(theta, eta, f_theta.real, f_eta, f_theta_x, hbar)
-
-    kind = classify_singular(theta, eta, f_theta, f_eta, f_theta_x)
-    if kind is not SingularKind.REGULAR:
-        raise SingularBranchError(kind)
-
-    minus = f_theta - theta
-    f_theta_y = (f_theta * f_theta.conjugate() - _square(theta)).real / f_theta_x
-    f_eta_y = -((f_eta - eta) / minus) * f_theta_x
-    f_eta_x = -minus * (f_eta + eta) / f_theta_x
-    if not all(map(cmath.isfinite, (f_theta_y, f_eta_x, f_eta_y))):
-        raise ValueError("the completion overflows")
-    return Params2D(
-        theta=float(theta), eta=float(eta), f_theta=f_theta, f_eta=float(f_eta),
-        f_theta_x=float(f_theta_x), f_theta_y=float(f_theta_y),
-        f_eta_x=_as_scalar(f_eta_x), f_eta_y=_as_scalar(f_eta_y), hbar=float(hbar),
-        imaginary_mode=True,
-    )
 
 
 def field_to_deformation(field, f_theta, hbar=1.0, theta=0.0):

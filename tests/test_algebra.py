@@ -168,6 +168,45 @@ def test_verify_deformation_detects_mismatch():
     assert rep.max_abs_xx == pytest.approx(0.5, abs=1e-15)
 
 
+def rescaled_worked_map(k, j):
+    """The completed worked instance (theta, eta, f_theta, f_eta) = (1, 2,
+    2, 4) with f_theta_x = 3, its theta sector scaled by 2^k and its eta
+    sector by 2^j, as (map, theta, eta)."""
+    s, r = 2.0 ** k, 2.0 ** j
+    theta, eta = s, 2.0 * r
+    m = extended_map(DeformationParams.isotropic_2d(theta, eta),
+                     [[3.0 * s, 2.0 * s], [2.0 * s, s]], [[-2.0 * r, 4.0 * r], [4.0 * r, -6.0 * r]])
+    return m, theta, eta
+
+
+POWERS = [-202, -131, -40, 0, 40, 131]  # 2^-131 ~ 4e-40 and 2^-202 ~ 1.6e-61: the paper's bounds
+
+
+@pytest.mark.parametrize("j", POWERS)
+@pytest.mark.parametrize("k", POWERS)
+def test_verify_deformation_verdict_is_unchanged_by_power_of_two_rescaling(k, j):
+    m, theta, eta = rescaled_worked_map(k, j)
+    base, _, _ = rescaled_worked_map(0, 0)
+    for target, passes in (((theta, eta), True), ((-theta, eta), False), ((theta, -eta), False),
+                           ((theta, eta * (1.0 + 1e-6)), False)):
+        rep = verify_deformation(m, DeformationParams.isotropic_2d(*target), tol=1e-10)
+        assert rep.passed is passes, target
+        # the theta and eta sectors' deviations relative to their scales keep their bits
+        unit = verify_deformation(base, DeformationParams.isotropic_2d(
+            target[0] / 2.0 ** k, target[1] / 2.0 ** j), tol=1e-10)
+        assert rep.max_abs_xx / rep.scale_xx == unit.max_abs_xx / unit.scale_xx
+        assert rep.max_abs_pp / rep.scale_pp == unit.max_abs_pp / unit.scale_pp
+
+
+def test_verify_deformation_zero_scale_demands_zero_deviation():
+    # the SW map has C = 0: any nonzero eta target fails, however small
+    params = DeformationParams.isotropic_2d(0.5, 0.0)
+    assert verify_deformation(sw_map(params), params).passed
+    wrong = DeformationParams.isotropic_2d(0.5, 1e-300)
+    rep = verify_deformation(sw_map(params), wrong)
+    assert (rep.scale_pp, rep.passed) == (0.0, False)
+
+
 def test_map_json_roundtrip_is_bit_faithful():
     rng = np.random.default_rng(77)
     m = random_map(rng, 3)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from csv_oracle import trajectory_csv
-from ncphase import cli
+from ncphase import cli, nc2d
 from ncphase.algebra import DeformationParams, map_to_json, params_to_json, sw_map
 from ncphase.dynamics import (CSV_CHUNK, STATIC_FIELD_NOTE, ClosedFormCoeffs, FieldConfig, period,
                               simulate_matched)
@@ -67,6 +67,23 @@ def test_check_map_fail_exit_code(sw_fixture, tmp_path):
     wrong.write_text(params_to_json(DeformationParams.isotropic_2d(1.5, 0.0)))
     r = run_cli("check-map", "--map", str(map_path), "--theta", str(wrong))
     assert r.returncode == 1
+
+
+@pytest.mark.parametrize("theta", [4e-40, 1.0, 3e5])
+def test_check_map_fails_a_sign_flipped_target_at_any_scale(theta, tmp_path):
+    # at theta = 4e-40 (the paper's bound) an absolute --tol 1e-10 would pass
+    # the deviation 8e-40; it is 4 times the xx sector's scale |A||B|
+    built = DeformationParams.isotropic_2d(theta, 0.0)
+    (tmp_path / "m.json").write_text(map_to_json(sw_map(built)))
+    for target, code in ((theta, 0), (-theta, 1)):
+        params = DeformationParams.isotropic_2d(target, 0.0)
+        (tmp_path / "t.json").write_text(params_to_json(params))
+        r = run_cli("check-map", "--map", str(tmp_path / "m.json"),
+                    "--theta", str(tmp_path / "t.json"), "--json")
+        assert r.returncode == code, r.stdout
+        doc = strict_loads(r.stdout)
+        assert doc["status"] == ("pass", "fail")[code]
+        assert doc["metrics"]["max_abs_xx"] == (0.0 if code == 0 else 2 * theta)
 
 
 @pytest.mark.parametrize("index, key, value", [
@@ -430,15 +447,49 @@ def test_match_field_non_finite_input_is_an_error(flag):
 MATCH_ARGS = ["match-field", "--alpha-x", "1", "--alpha-y", "2", "--beta-x", "1", "--beta-y", "2"]
 
 
+NEAR_F_THETA_MINUS = ["solve2d", "--theta", "1", "--eta", "2", "--f-theta", "-1.000000001",
+                      "--f-eta", "4", "--f-theta-x", "3"]
+# one of 20,000 draws from [-5, 5]
+UNIFORM_DRAW = ["solve2d", "--theta", "1.510777468947813", "--eta", "-3.3907194650053354",
+                "--f-theta", "-1.5108143615827005", "--f-eta", "-3.0470269247281214",
+                "--f-theta-x", "-4.003096038678864"]
+
+
+@pytest.mark.parametrize("argv, f_theta_y", [
+    # just outside the FThetaMinus tolerance; the correctly rounded value
+    (NEAR_F_THETA_MINUS, "6.666667221602474e-10"),
+    (UNIFORM_DRAW, "-2.784706714644898e-05"),
+], ids=["near-f-theta-minus", "uniform-draw"])
+def test_solve2d_just_off_a_singular_line_passes(argv, f_theta_y):
+    # unfactored, f_theta^2 - theta^2 cancels here enough for the two pivot
+    # routes to disagree
+    r = run_cli(*argv, "--json")
+    assert r.returncode == 0, r.stdout
+    assert f'"f_theta_y": {f_theta_y}' in r.stdout
+    assert strict_loads(r.stdout)["status"] == "pass"
+
+
+@pytest.mark.parametrize("tolerance, argv, note", [
+    ("ROUTE_AGREEMENT_RTOL", NEAR_F_THETA_MINUS,
+     "RuntimeError: pivot routes disagree by 8.882e-16"),
+    ("RESIDUAL_TOL", UNIFORM_DRAW,
+     "RuntimeError: completion residual 1.743e-15 exceeds tolerance"),
+], ids=["pivot-routes", "residual"])
+def test_solve2d_failed_check_is_an_error_report(tolerance, argv, note, monkeypatch, capsys):
+    # no known input fails these checks; a zero tolerance makes the last-bit
+    # gap of these draws fail them
+    monkeypatch.setattr(nc2d, tolerance, 0.0)
+    assert cli.run(argv + ["--json"]) == 2
+    doc = strict_loads(capsys.readouterr().out)
+    assert (doc["status"], doc["errata_notes"]) == ("error", [note])
+
+
 @pytest.mark.parametrize("argv", [
-    # just outside the FThetaMinus tolerance: the two pivot routes disagree
-    ["solve2d", "--theta", "1", "--eta", "2", "--f-theta", "-1.000000001", "--f-eta", "4",
-     "--f-theta-x", "3"],
     MATCH_ARGS + ["--c", "0"],
     MATCH_ARGS + ["--m-p", "0"],
     ["simulate", "--scenario", "{zero_e}", "--out", "{out}"],
     ["equivalence", "--scenario", "{zero_e}"],
-], ids=["pivot-routes", "c-0", "m_p-0", "simulate-e-0", "equivalence-e-0"])
+], ids=["c-0", "m_p-0", "simulate-e-0", "equivalence-e-0"])
 def test_runtime_and_zero_division_errors_are_error_reports(argv, scenario, tmp_path):
     zero_e = tmp_path / "zero_e.json"
     doc = json.loads(scenario.read_text())

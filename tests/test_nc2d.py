@@ -1,7 +1,9 @@
 """2D completion: worked values, singular classification, imaginary branch."""
 import dataclasses
 import json
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import exact_oracle
 from ncphase.algebra import DeformationParams, verify_deformation
 from ncphase.nc2d import (
     SINGULAR_KINDS,
@@ -17,6 +20,7 @@ from ncphase.nc2d import (
     SingularKind,
     classify_singular_batch,
     complete_2d,
+    complete_2d_batch,
     complete_2d_imaginary,
     maps_2d,
     params2d_from_json,
@@ -240,3 +244,154 @@ def test_overflowing_completion_raises_value_error():
         complete_2d(1e200, 3e200, 2e200, 4e200, 3e200)
     with pytest.raises(ValueError, match="overflows"):
         complete_2d(1e150, 2e160, 2e150, 4e160, 1e141)  # f_eta_x overflows
+
+
+# Accuracy against exact arithmetic (exact_oracle): every field of every
+# passing draw, in ulps of the exact value (of its magnitude, if complex).
+
+U = 2.0 ** -53  # the unit roundoff of a float
+N_DRAWS = 1500
+
+
+def real_draws(rng, near_line):
+    """Uniform draws in [-5, 5]; with ``near_line``, f_theta or f_eta at a
+    relative gap of 1e-9..1e-3 from one of the four singular lines."""
+    t, e, f, fe, pivot = rng.uniform(-5.0, 5.0, (5, N_DRAWS))
+    if near_line:
+        gap = 10.0 ** rng.uniform(-9.0, -3.0, N_DRAWS) * rng.choice([-1.0, 1.0], N_DRAWS)
+        line = rng.integers(0, 4, N_DRAWS)
+        sign = np.where(line % 2 == 0, 1.0, -1.0)
+        f = np.where(line < 2, sign * t * (1.0 + gap), f)
+        fe = np.where(line >= 2, sign * e * (1.0 + gap), fe)
+    return t, e, f, fe, pivot
+
+
+def imaginary_draws(rng, near_circle):
+    """Draws of a complex f_theta = f + i fi from the x pivot.  Away from the
+    circle |f_theta| = |theta|, f^2 - theta^2 and fi^2 cancel by at most
+    half; near it, fi^2 = (theta^2 - f^2)(1 + gap) at a gap of 1e-9..1e-3."""
+    t, e, f, fe, pivot, fi = rng.uniform(-5.0, 5.0, (6, N_DRAWS))
+    if near_circle:
+        f = t * rng.uniform(-0.99, 0.99, N_DRAWS)
+        gap = 10.0 ** rng.uniform(-9.0, -3.0, N_DRAWS) * rng.choice([-1.0, 1.0], N_DRAWS)
+        fi = np.sqrt(t * t - f * f) * (1.0 + gap)
+    else:
+        mp = (f - t) * (f + t)
+        away = np.abs(mp + fi * fi) >= 0.5 * (np.abs(mp) + fi * fi)
+        t, e, f, fe, pivot, fi = (a[away] for a in (t, e, f, fe, pivot, fi))
+    return t, e, f, fe, pivot, fi
+
+
+def passing_errors(t, e, f, fe, pivot, by_y=False, fi=None):
+    """(draw, field name, ulps) of every completed field of every passing
+    draw, and the draws' Completion2D."""
+    kw = {"f_theta_y" if by_y else "f_theta_x": pivot}
+    if fi is not None:
+        kw["f_theta_imag"] = fi
+    done = complete_2d_batch(t, e, f, fe, **kw)
+    passed = np.flatnonzero(done.stage < 0)
+    assert passed.size > 0.9 * t.size
+    out = []
+    for i in passed:
+        p = done.params(i)
+        want = exact_oracle.completion(t[i], e[i], f[i], fe[i],
+                                       f_theta_x=None if by_y else pivot[i],
+                                       f_theta_y=pivot[i] if by_y else None,
+                                       f_theta_imag=0.0 if fi is None else fi[i])
+        for name, exact in zip(("f_theta_x", "f_theta_y", "f_eta_x", "f_eta_y"), want):
+            out.append((i, name, exact_oracle.ulps(getattr(p, name), exact)))
+        # the residual the engine reports is the exact residual of the fields
+        # it returns, up to the rounding of the 2x2 product
+        entries = exact_oracle.residual(*(getattr(p, name) for name in _FIELD_NAMES),
+                                        conjugate=p.imaginary_mode)
+        worst = max(math.sqrt(entry.abs2()) for entry in entries)
+        terms = max(abs(a) * abs(b) + abs(c) * abs(d) for a, b, c, d in _product_terms(p))
+        assert abs(done.residual_max[i] - worst) <= 8 * U * terms
+    return out, done
+
+
+_FIELD_NAMES = ("theta", "eta", "f_theta", "f_eta", "f_theta_x", "f_theta_y", "f_eta_x", "f_eta_y")
+
+
+def _product_terms(p):
+    lower = p.f_theta.conjugate() if p.imaginary_mode else p.f_theta
+    B = ((p.f_theta_x, p.f_theta - p.theta), (lower + p.theta, p.f_theta_y))
+    G = ((p.f_eta_x, p.f_eta - p.eta), (p.f_eta + p.eta, p.f_eta_y))
+    return [(B[i][0], G[0][j], B[i][1], G[1][j]) for i in range(2) for j in range(2)]
+
+
+@pytest.mark.parametrize("by_y", [False, True], ids=["x-pivot", "y-pivot"])
+@pytest.mark.parametrize("near_line", [False, True], ids=["uniform", "near-a-line"])
+def test_real_completion_is_within_4_ulps_of_exact(near_line, by_y):
+    # the factored f_theta^2 - theta^2 = (f_theta - theta)(f_theta + theta)
+    # has no cancellation; 2.8 ulps was the worst of 8e4 such draws
+    rng = np.random.default_rng([21, near_line, by_y])
+    errors, _ = passing_errors(*real_draws(rng, near_line), by_y=by_y)
+    assert max(u for _, _, u in errors) <= 4.0
+
+
+def test_imaginary_completion_away_from_the_circle_is_within_6_ulps_of_exact():
+    # 3.0 ulps was the worst of 1.5e4 such draws
+    *draws, fi = imaginary_draws(np.random.default_rng(22), False)
+    errors, _ = passing_errors(*draws, fi=fi)
+    assert max(u for _, _, u in errors) <= 6.0
+
+
+def test_imaginary_completion_near_the_circle_loses_what_the_cancellation_costs():
+    # A known limit: f_theta_y = ((f - theta)(f + theta) + fi^2) / f_theta_x
+    # cancels as |f_theta| nears |theta|, and is off by up to 7e8 ulps at a
+    # gap of 1e-9 (4.9e9 with the unfactored form).  Its error stays within
+    # the rounding of the two terms (1.3 u of their size was measured); the
+    # f_eta fields stay within 6 ulps.
+    t, e, f, fe, pivot, fi = imaginary_draws(np.random.default_rng(23), True)
+    errors, done = passing_errors(t, e, f, fe, pivot, fi=fi)
+    for i, name, u in errors:
+        if name != "f_theta_y":
+            assert u <= 6.0, (i, name)
+            continue
+        exact = exact_oracle.completion(t[i], e[i], f[i], fe[i], f_theta_x=pivot[i],
+                                        f_theta_imag=fi[i])[1].re
+        terms = (abs((Fraction(f[i]) - Fraction(t[i])) * (Fraction(f[i]) + Fraction(t[i])))
+                 + Fraction(fi[i]) ** 2) / abs(Fraction(pivot[i]))
+        assert abs(Fraction(done.f_theta_y[i]) - exact) <= 4 * U * terms, i
+    assert max(u for _, name, u in errors if name == "f_theta_y") > 1e6  # the limit is real
+
+
+def singular_draws(rng, n=600):
+    """Draws on, just inside and just outside each singular line and the
+    zero pivot, in sectors of independent scales 10^[-6, 6]: each gap is a
+    multiple (0, 0.5 or 2) of the line's tolerance, far from its edge."""
+    s, r = 10.0 ** rng.uniform(-6.0, 6.0, (2, n))
+    t, f = s * rng.uniform(-2.0, 2.0, (2, n))
+    e, fe = r * rng.uniform(-2.0, 2.0, (2, n))
+    pivot = s * rng.uniform(-2.0, 2.0, n)
+    line = rng.integers(0, 6, n)
+    k = rng.choice([0.0, 0.5, -0.5, 2.0, -2.0], n)
+    theta_tol = 1e-10 * np.maximum(np.abs(t), 1.0)
+    eta_tol = 1e-10 * np.maximum(np.abs(e), 1.0)
+    f = np.select([line == 0, line == 1], [t + k * theta_tol, -t + k * theta_tol], f)
+    fe = np.select([line == 2, line == 3], [e + k * eta_tol, -e + k * eta_tol], fe)
+    pivot = np.where(line == 4, k * theta_tol, pivot)
+    return t, e, f, fe, pivot
+
+
+def test_singular_classes_match_exact_arithmetic():
+    t, e, f, fe, pivot = singular_draws(np.random.default_rng(24))
+    got = classify_singular_batch(t, e, f, fe, pivot)
+    want = [exact_oracle.singular_class(*args) for args in zip(t, e, f, fe, pivot)]
+    assert [SINGULAR_KINDS[c].value for c in got] == want
+    assert len(set(want)) == 6
+
+
+@pytest.mark.parametrize("args, kind", [
+    # f_eta is 0.05 off eta: far from the eta line at the eta sector's scale,
+    # once inside a tolerance scaled by theta = 1e12
+    ((1e12, 1.0, 2e12, 1.05, 3e12), "Regular"),
+    # a relative gap of 1e-11 to the eta line, inside the 1e-10 relative
+    # tolerance at eta's own scale; a tolerance of the theta sector's scale
+    # would read it Regular
+    ((1.0, 1e12, 1.05, 1.00000000001e12, 3.0), "FEtaPlus"),
+], ids=["theta-sector-large", "eta-sector-large"])
+def test_eta_lines_use_the_eta_sector_tolerance(args, kind):
+    assert classify_one(*args).value == kind == exact_oracle.singular_class(*args)
+

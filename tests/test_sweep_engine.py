@@ -1,9 +1,9 @@
 """The batched sweep engine against the per-point path it replaced.
 
-``sweep_oracle.sweep_report`` is the old loop: one ``complete_2d`` /
-``field_to_deformation`` call per grid point.  The streamed ``--out``
-file, the ``--json`` stdout and the text stdout must all equal its
-rendering byte for byte, across chunk and slice boundaries, singular
+``sweep_oracle.sweep_report`` is the old loop: one N=1 ``complete_2d`` /
+scalar ``field_to_deformation`` call per grid point.  The streamed
+``--out`` file, the ``--json`` stdout and the text stdout must all equal
+its rendering byte for byte, across chunk and slice boundaries, singular
 lines, both pivots, imaginary pivots, non-finite literals and every
 error outcome.  A config that is
 an input error (a value that is not a number, an empty axis, a grid past
@@ -24,10 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact_oracle
 import sweep_oracle
 from ncphase import cli
 from ncphase.dynamics import FieldConfig, field_to_deformation_batch
-from ncphase.nc2d import Params2D, SingularBranchError, complete_2d_batch, params2d_to_doc
+from ncphase.nc2d import (Params2D, SingularBranchError, complete_2d, complete_2d_batch,
+                          complete_2d_imaginary, params2d_to_doc)
 from sweep_oracle import render, sweep_report
 from test_cli import strict_loads
 
@@ -52,20 +54,36 @@ def sweep(text, out=None, warning_filter="error", as_json=True):
     return code, buf.getvalue(), written
 
 
+ROW = ', {"command": '
+
+
+def assert_same_text(got, want):
+    """got == want, failing at the first row that differs, with its index:
+    pytest's diff of two multi-megabyte texts runs for minutes."""
+    got_head, got_open, got_rows = got.partition('"rows": [')
+    want_head, want_open, want_rows = want.partition('"rows": [')
+    assert (got_head, got_open) == (want_head, want_open)
+    got_rows, want_rows = got_rows.split(ROW), want_rows.split(ROW)
+    for i, (a, b) in enumerate(zip(got_rows, want_rows)):
+        assert a == b, f"row {i} is the first that differs"
+    assert len(got_rows) == len(want_rows), "the documents hold different numbers of rows"
+
+
 def assert_matches_oracle(cfg):
     text = json.dumps(cfg)
     report = sweep_report(json.loads(text))
     want, status = render(report, True), report["status"]
     code, stdout, _ = sweep(text)
-    assert stdout == want + "\n"
+    assert_same_text(stdout, want + "\n")
     assert code == cli.EXITS[status]
     code, stdout, _ = sweep(text, as_json=False)  # the status line comes before the rows
-    assert (code, stdout) == (cli.EXITS[status], render(report, False) + "\n")
+    assert_same_text(stdout, render(report, False) + "\n")
+    assert code == cli.EXITS[status]
     code, stdout, written = sweep(text, out=True)
     if status == "error":  # an input error is reported alike with --out, and writes no rows
         assert (code, stdout, written) == (2, want + "\n", None)
         return
-    assert written == (want + "\n").encode()
+    assert_same_text(written.decode(), want + "\n")
     summary = json.loads(stdout)
     assert (code, summary["status"], summary["payload"]) == (cli.EXITS[status], status, {})
 
@@ -86,6 +104,8 @@ CONFIGS = {
     "imaginary-base": {"task": "solve2d", "base": dict(SOLVE2D_BASE, f_theta_imag=0.75,
                                                        f_eta=4.0),
                        "grid": {"f_theta": [0.0, 1.0, 2.0], "f_theta_x": [0.0, 2.0, -3.0]}},
+    # just outside and just inside the FThetaMinus line, where the unfactored
+    # f_theta^2 - theta^2 cancels enough for the two pivot routes to disagree
     "pivot-routes": {"task": "solve2d", "base": dict(SOLVE2D_BASE, f_eta=4.0, f_theta_x=3.0),
                      "grid": {"f_theta": [-1.000000001, -1.0000000001, 2.0]}},
     "overflow": {"task": "solve2d",
@@ -295,17 +315,25 @@ def test_error_rows_can_share_one_exception():
 
 def oracle_completion(theta, eta, f_theta, f_eta, f_theta_x=None, hbar=1.0, f_theta_y=None,
                       f_theta_imag=0.0):
-    """The per-point path's Params2D of one draw, or the exception it raised."""
+    """The Params2D of one draw by the scalar (N=1) call, or the exception
+    it raised; the completed fields of a pass are checked against exact
+    arithmetic, to 4 ulps."""
     try:
         if f_theta_imag:
-            return sweep_oracle.complete_2d_imaginary(
-                theta, eta, complex(f_theta, f_theta_imag), f_eta, f_theta_x, hbar)
-        if f_theta_y is not None:
-            return sweep_oracle.complete_2d(theta, eta, f_theta, f_eta, hbar=hbar,
-                                            f_theta_y=f_theta_y)
-        return sweep_oracle.complete_2d(theta, eta, f_theta, f_eta, f_theta_x, hbar)
+            p = complete_2d_imaginary(theta, eta, complex(f_theta, f_theta_imag), f_eta,
+                                      f_theta_x, hbar)
+        elif f_theta_y is not None:
+            p = complete_2d(theta, eta, f_theta, f_eta, hbar=hbar, f_theta_y=f_theta_y)
+        else:
+            p = complete_2d(theta, eta, f_theta, f_eta, f_theta_x, hbar)
     except Exception as err:  # every error outcome is compared, type and message
         return err
+    exact = exact_oracle.completion(theta, eta, f_theta, f_eta, f_theta_x=f_theta_x,
+                                    f_theta_y=None if f_theta_imag else f_theta_y,
+                                    f_theta_imag=f_theta_imag)
+    for name, value in zip(("f_theta_x", "f_theta_y", "f_eta_x", "f_eta_y"), exact):
+        assert exact_oracle.ulps(getattr(p, name), value) <= 4.0, name
+    return p
 
 
 def assert_same_outcome(got, want):
