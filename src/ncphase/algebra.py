@@ -176,24 +176,24 @@ class BracketTable:
 @dataclass(frozen=True)
 class ResidualReport:
     """Max-entry deviations of a map's brackets from a deformation target,
-    and the scale of each sector: hbar times the product of the largest
-    entries of the blocks its bracket is built from."""
+    and per sector the largest entry of |deviation| / scale, each entry
+    against its own rounding scale (0/0 reads 0, x/0 reads inf)."""
 
     max_abs_xx: float
     max_abs_pp: float
     max_abs_xp: float
     tol: float
-    scale_xx: float
-    scale_pp: float
-    scale_xp: float
+    ratio_xx: float
+    ratio_pp: float
+    ratio_xp: float
 
     @property
     def passed(self):
-        """Each deviation is finite and at most tol times its sector's
+        """Each deviation is finite and each entry at most tol times its
         scale; a zero scale demands a zero deviation."""
-        sectors = ((self.max_abs_xx, self.scale_xx), (self.max_abs_pp, self.scale_pp),
-                   (self.max_abs_xp, self.scale_xp))
-        return all(math.isfinite(dev) and dev <= self.tol * scale for dev, scale in sectors)
+        sectors = ((self.max_abs_xx, self.ratio_xx), (self.max_abs_pp, self.ratio_pp),
+                   (self.max_abs_xp, self.ratio_xp))
+        return all(math.isfinite(dev) and ratio <= self.tol for dev, ratio in sectors)
 
 
 def symplectic_form(dim):
@@ -229,25 +229,34 @@ def bracket_table(m, hbar=1.0):
     return BracketTable(xx=_frozen_array(xx), pp=_frozen_array(pp), xp=_frozen_array(xp))
 
 
+def _max_ratio(dev, scale):
+    """Largest entry of dev / scale, reading 0/0 as 0 and x/0 as inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(scale > 0.0, dev / scale, np.where(dev == 0.0, 0.0, np.inf))
+    return float(ratio.max())
+
+
 def verify_deformation(m, params, tol=1e-10):
-    """Report whether a map reproduces the target brackets within tol,
-    relative to each sector's scale: with |X| the largest entry of block
-    X, hbar |A||B| for xx, hbar |C||D| for pp and hbar max(|A||D|, |B||C|)
-    for xp.  Rescaling the sectors by powers of two keeps the verdict."""
+    """Report whether a map reproduces the target brackets within tol.
+
+    Each entry's deviation is taken relative to the componentwise
+    rounding scale of its bracket (Higham, ch. 3), elementwise:
+    hbar (|A||B|^T + |B||A|^T) for xx, hbar (|C||D|^T + |D||C|^T) for pp
+    and hbar (|A||D|^T + |B||C|^T) for xp.  Rescaling the sectors by
+    powers of two keeps the verdict.
+    """
     if m.dim != params.dim:
         raise DimensionMismatchError("map and params dims differ")
     t = bracket_table(m, params.hbar)
     eye = params.hbar * np.eye(params.dim)
-    a, b, c, d = (float(np.abs(block).max()) for block in (m.A, m.B, m.C, m.D))
-    return ResidualReport(
-        max_abs_xx=float(np.abs(t.xx - params.theta).max()),
-        max_abs_pp=float(np.abs(t.pp - params.eta).max()),
-        max_abs_xp=float(np.abs(t.xp - eye).max()),
-        tol=float(tol),
-        scale_xx=params.hbar * a * b,
-        scale_pp=params.hbar * c * d,
-        scale_xp=params.hbar * max(a * d, b * c),
-    )
+    A, B, C, D = (np.abs(block) for block in (m.A, m.B, m.C, m.D))
+    hbar = params.hbar
+    devs = (np.abs(t.xx - params.theta), np.abs(t.pp - params.eta), np.abs(t.xp - eye))
+    scales = (hbar * (A @ B.T + B @ A.T), hbar * (C @ D.T + D @ C.T), hbar * (A @ D.T + B @ C.T))
+    xx, pp, xp = (float(d.max()) for d in devs)
+    rxx, rpp, rxp = (_max_ratio(d, s) for d, s in zip(devs, scales))
+    return ResidualReport(max_abs_xx=xx, max_abs_pp=pp, max_abs_xp=xp, tol=float(tol),
+                          ratio_xx=rxx, ratio_pp=rpp, ratio_xp=rxp)
 
 
 def sw_map(params):

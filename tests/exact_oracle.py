@@ -49,6 +49,10 @@ class Exact:
     def abs2(self):
         return self.re * self.re + self.im * self.im
 
+    def magnitude(self):
+        """|re + i im|, as a float."""
+        return math.hypot(float(self.re), float(self.im))
+
 
 def _exact(v):
     return v if isinstance(v, Exact) else Exact.of(v)
@@ -74,16 +78,21 @@ def completion(theta, eta, f_theta, f_eta, f_theta_x=None, f_theta_y=None, f_the
     return fx, fy, -((fe + e) / (f + t)) * fy, -(f + t) * (fe - e) / fy
 
 
-def residual(theta, eta, f_theta, f_eta, f_theta_x, f_theta_y, f_eta_x, f_eta_y,
-             conjugate=False):
-    """The four entries of B C^T (2 hbar)^2, row-major, exact, of the given
-    values (floats, complexes or Exacts); ``conjugate`` puts conj(f_theta)
-    in the lower-left entry, the imaginary-mode convention."""
-    t, e, f, fe = map(_exact, (theta, eta, f_theta, f_eta))
-    lower = f.conj() if conjugate else f
-    B = ((_exact(f_theta_x), f - t), (lower + t, _exact(f_theta_y)))
-    G = ((_exact(f_eta_x), fe - e), (fe + e, _exact(f_eta_y)))
-    return [B[i][0] * G[0][j] + B[i][1] * G[1][j] for i in range(2) for j in range(2)]
+def residual(p):
+    """The four entries of B C^T (2 hbar)^2 of a completed Params2D, row-major,
+    exact, each paired with the float |b1 g1| + |b2 g2| of its two products,
+    the scale its rounding is bounded by.  In imaginary mode conj(f_theta)
+    sits in the lower-left entry of B."""
+    t, e, f, fe = map(_exact, (p.theta, p.eta, p.f_theta, p.f_eta))
+    lower = f.conj() if p.imaginary_mode else f
+    B = ((_exact(p.f_theta_x), f - t), (lower + t, _exact(p.f_theta_y)))
+    G = ((_exact(p.f_eta_x), fe - e), (fe + e, _exact(p.f_eta_y)))
+    out = []
+    for i in range(2):
+        for j in range(2):
+            first, second = B[i][0] * G[0][j], B[i][1] * G[1][j]
+            out.append((first + second, first.magnitude() + second.magnitude()))
+    return out
 
 
 def singular_class(theta, eta, f_theta, f_eta, pivot):
@@ -109,5 +118,4 @@ def ulps(got, exact):
     err2 = (_exact(got) - exact).abs2()
     if err2 == 0:
         return 0.0
-    magnitude = math.hypot(float(exact.re), float(exact.im))
-    return math.sqrt(float(err2 / Fraction(math.ulp(magnitude)) ** 2))
+    return math.sqrt(float(err2 / Fraction(math.ulp(exact.magnitude())) ** 2))

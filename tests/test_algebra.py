@@ -194,8 +194,7 @@ def test_verify_deformation_verdict_is_unchanged_by_power_of_two_rescaling(k, j)
         # the theta and eta sectors' deviations relative to their scales keep their bits
         unit = verify_deformation(base, DeformationParams.isotropic_2d(
             target[0] / 2.0 ** k, target[1] / 2.0 ** j), tol=1e-10)
-        assert rep.max_abs_xx / rep.scale_xx == unit.max_abs_xx / unit.scale_xx
-        assert rep.max_abs_pp / rep.scale_pp == unit.max_abs_pp / unit.scale_pp
+        assert (rep.ratio_xx, rep.ratio_pp) == (unit.ratio_xx, unit.ratio_pp)
 
 
 def test_verify_deformation_zero_scale_demands_zero_deviation():
@@ -204,7 +203,17 @@ def test_verify_deformation_zero_scale_demands_zero_deviation():
     assert verify_deformation(sw_map(params), params).passed
     wrong = DeformationParams.isotropic_2d(0.5, 1e-300)
     rep = verify_deformation(sw_map(params), wrong)
-    assert (rep.scale_pp, rep.passed) == (0.0, False)
+    assert (rep.ratio_pp, rep.passed) == (np.inf, False)
+
+
+def test_verify_deformation_scales_each_entry_by_its_own_terms():
+    # xp = A D^T = diag(1, 1.5), 50% off diag(1, 1); the largest entries
+    # of A and D (1e5 and 1.5e5) must not widen the (1, 1) entry's bound
+    A, D = np.diag([1e5, 1e-5]), np.diag([1e-5, 1.5e5])
+    m = PhaseSpaceMap(dim=2, A=A, B=np.zeros((2, 2)), C=np.zeros((2, 2)), D=D)
+    rep = verify_deformation(m, DeformationParams.isotropic_2d(0.0, 0.0), tol=1e-10)
+    assert rep.max_abs_xp == pytest.approx(0.5, rel=1e-12)
+    assert not rep.passed
 
 
 def test_map_json_roundtrip_is_bit_faithful():

@@ -72,7 +72,7 @@ def test_check_map_fail_exit_code(sw_fixture, tmp_path):
 @pytest.mark.parametrize("theta", [4e-40, 1.0, 3e5])
 def test_check_map_fails_a_sign_flipped_target_at_any_scale(theta, tmp_path):
     # at theta = 4e-40 (the paper's bound) an absolute --tol 1e-10 would pass
-    # the deviation 8e-40; it is 4 times the xx sector's scale |A||B|
+    # the deviation 8e-40; it is twice its entry's scale |B_01| + |B_10|
     built = DeformationParams.isotropic_2d(theta, 0.0)
     (tmp_path / "m.json").write_text(map_to_json(sw_map(built)))
     for target, code in ((theta, 0), (-theta, 1)):

@@ -1,7 +1,6 @@
 """2D completion: worked values, singular classification, imaginary branch."""
 import dataclasses
 import json
-import math
 import warnings
 from fractions import Fraction
 
@@ -59,6 +58,15 @@ def test_worked_instance_map_blocks():
     assert_allclose(m.C, [[-1.0, 3.0], [1.0, -3.0]], atol=0.0)
     params = DeformationParams.isotropic_2d(1.0, 2.0)
     assert verify_deformation(m, params, tol=1e-12).passed
+
+
+def test_verify_deformation_rejects_wrong_signs_beside_a_large_cancelling_entry():
+    # B_00 = f_theta_x / 2 = 5e11 cancels in xx = B^T - B; it must not
+    # widen the bound of the xx and pp entries the signs sit in
+    m = maps_2d(complete_2d(1.0, 2.0, 2.0, 4.0, 1e12))
+    for target, passes in (((1.0, 2.0), True), ((-1.0, 2.0), False), ((1.0, -2.0), False)):
+        rep = verify_deformation(m, DeformationParams.isotropic_2d(*target), tol=1e-10)
+        assert rep.passed is passes, target
 
 
 def test_pivot_y_mirror():
@@ -302,22 +310,11 @@ def passing_errors(t, e, f, fe, pivot, by_y=False, fi=None):
             out.append((i, name, exact_oracle.ulps(getattr(p, name), exact)))
         # the residual the engine reports is the exact residual of the fields
         # it returns, up to the rounding of the 2x2 product
-        entries = exact_oracle.residual(*(getattr(p, name) for name in _FIELD_NAMES),
-                                        conjugate=p.imaginary_mode)
-        worst = max(math.sqrt(entry.abs2()) for entry in entries)
-        terms = max(abs(a) * abs(b) + abs(c) * abs(d) for a, b, c, d in _product_terms(p))
+        entries = exact_oracle.residual(p)
+        worst = max(entry.magnitude() for entry, _ in entries)
+        terms = max(size for _, size in entries)
         assert abs(done.residual_max[i] - worst) <= 8 * U * terms
     return out, done
-
-
-_FIELD_NAMES = ("theta", "eta", "f_theta", "f_eta", "f_theta_x", "f_theta_y", "f_eta_x", "f_eta_y")
-
-
-def _product_terms(p):
-    lower = p.f_theta.conjugate() if p.imaginary_mode else p.f_theta
-    B = ((p.f_theta_x, p.f_theta - p.theta), (lower + p.theta, p.f_theta_y))
-    G = ((p.f_eta_x, p.f_eta - p.eta), (p.f_eta + p.eta, p.f_eta_y))
-    return [(B[i][0], G[0][j], B[i][1], G[1][j]) for i in range(2) for j in range(2)]
 
 
 @pytest.mark.parametrize("by_y", [False, True], ids=["x-pivot", "y-pivot"])
