@@ -3,7 +3,7 @@
 The package covers five pieces: the deformed-bracket algebra of linear
 maps (:mod:`ncphase.algebra`), closed-form completion of the 2D
 consistency system (:mod:`ncphase.nc2d`), the 3D residual with its
-auxiliary identities and a damped Newton solver (:mod:`ncphase.nc3d`),
+closed-form completion and a damped Newton solver (:mod:`ncphase.nc3d`),
 magnetic-field matching plus dynamics cross-checks
 (:mod:`ncphase.dynamics`), and a CLI (:mod:`ncphase.cli`).
 """
@@ -50,20 +50,16 @@ from .nc2d import (
     residual_2d,
 )
 from .nc3d import (
-    AuxQuantities3D,
-    DegenerateDenominatorError,
-    EliminationResult,
+    CLASSES_3D,
     Params3D,
     SolveResult,
-    aux_quantities,
-    eliminate_3d,
+    complete3d,
     generate_feasible_3d,
     pack,
     params3d_from_json,
     params3d_to_doc,
     params3d_to_json,
     residual_3d,
-    residual_3d_from_aux,
     solve_3d,
     unpack,
 )

@@ -15,6 +15,7 @@ are immutable value objects.
 """
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,11 +205,32 @@ def symplectic_form(dim):
     return J
 
 
+def _ratio(dev, scale):
+    """dev / scale elementwise, reading 0/0 as 0 and x/0 as inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(scale > 0.0, dev / scale, np.where(dev == 0.0, 0.0, np.inf))
+
+
+def _max_ratio(dev, scale):
+    """Largest entry of _ratio(dev, scale); a NaN entry makes it NaN."""
+    return float(_ratio(dev, scale).max())
+
+
+def _bracket_scales(m, hbar):
+    """The componentwise rounding scales (Higham, ch. 3) of the xx, pp and
+    xp brackets, elementwise: hbar (|A||B|^T + |B||A|^T),
+    hbar (|C||D|^T + |D||C|^T) and hbar (|A||D|^T + |B||C|^T)."""
+    A, B, C, D = (np.abs(block) for block in (m.A, m.B, m.C, m.D))
+    return hbar * (A @ B.T + B @ A.T), hbar * (C @ D.T + D @ C.T), hbar * (A @ D.T + B @ C.T)
+
+
 def bracket_table(m, hbar=1.0):
     """Bracket coefficient matrices induced by a map.
 
-    Computed twice, from the block formulas and from
-    hbar * M J M^T, and cross-checked; the block route is returned.
+    Computed twice, from the block formulas and from hbar * M J M^T, and
+    cross-checked entry by entry: each gap must be at most 1e-13 times
+    its entry's rounding scale (_bracket_scales), so the check means the
+    same at every scale of the blocks.  The block route is returned.
     """
     A, B, C, D = m.A, m.B, m.C, m.D
     xx = hbar * (A @ B.T - B @ A.T)
@@ -218,22 +240,13 @@ def bracket_table(m, hbar=1.0):
     M = m.matrix
     full = hbar * (M @ symplectic_form(m.dim) @ M.T)
     d = m.dim
-    scale = max(1.0, np.abs(full).max())
-    gap = max(
-        np.abs(full[:d, :d] - xx).max(),
-        np.abs(full[d:, d:] - pp).max(),
-        np.abs(full[:d, d:] - xp).max(),
-    )
-    if gap > 1e-13 * scale:
-        raise RuntimeError(f"bracket route disagreement {gap:.3e} exceeds 1e-13*scale")
+    gaps = (np.abs(full[:d, :d] - xx), np.abs(full[d:, d:] - pp), np.abs(full[:d, d:] - xp))
+    # a NaN ratio (an overflowing table) is no disagreement, as before
+    worst = [r for r in map(_max_ratio, gaps, _bracket_scales(m, hbar)) if r > 1e-13]
+    if worst:
+        raise RuntimeError(f"bracket route disagreement {max(worst):.3e} times its entry's "
+                           "scale exceeds 1e-13")
     return BracketTable(xx=_frozen_array(xx), pp=_frozen_array(pp), xp=_frozen_array(xp))
-
-
-def _max_ratio(dev, scale):
-    """Largest entry of dev / scale, reading 0/0 as 0 and x/0 as inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(scale > 0.0, dev / scale, np.where(dev == 0.0, 0.0, np.inf))
-    return float(ratio.max())
 
 
 def verify_deformation(m, params, tol=1e-10):
@@ -249,12 +262,9 @@ def verify_deformation(m, params, tol=1e-10):
         raise DimensionMismatchError("map and params dims differ")
     t = bracket_table(m, params.hbar)
     eye = params.hbar * np.eye(params.dim)
-    A, B, C, D = (np.abs(block) for block in (m.A, m.B, m.C, m.D))
-    hbar = params.hbar
     devs = (np.abs(t.xx - params.theta), np.abs(t.pp - params.eta), np.abs(t.xp - eye))
-    scales = (hbar * (A @ B.T + B @ A.T), hbar * (C @ D.T + D @ C.T), hbar * (A @ D.T + B @ C.T))
     xx, pp, xp = (float(d.max()) for d in devs)
-    rxx, rpp, rxp = (_max_ratio(d, s) for d, s in zip(devs, scales))
+    rxx, rpp, rxp = map(_max_ratio, devs, _bracket_scales(m, params.hbar))
     return ResidualReport(max_abs_xx=xx, max_abs_pp=pp, max_abs_xp=xp, tol=float(tol),
                           ratio_xx=rxx, ratio_pp=rpp, ratio_xp=rxp)
 
@@ -362,6 +372,43 @@ def map_to_json(m, hbar=1.0):
     return json.dumps(doc, sort_keys=True)
 
 
+def _is_number(v):
+    """Whether ``v`` is a JSON number a float can hold: true, "1.5", null
+    and an integer beyond the float range are not."""
+    return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
+
+
+def _check_keys(where, given, known):
+    unknown = sorted(set(given) - set(known))
+    if unknown:  # a misspelt key would run with the default
+        raise ValueError(f"{where} has no key {unknown[0]!r}")
+
+
+def _check_numbers(where, value):
+    """Raise ValueError unless ``value`` is a JSON number or a nested list
+    of them.  An integer beyond the float range is left to float(), which
+    raises OverflowError."""
+    if isinstance(value, list):
+        for v in value:
+            _check_numbers(where, v)
+    elif not (_is_number(value) or type(value) is int):
+        raise ValueError(f"{where} is not a number: {value!r}")
+
+
+def _load_object(text, where, known):
+    """The JSON object of an input file: a key outside ``known``, or a
+    value other than ``dim`` (see _dim) that is not a number or a nested
+    list of numbers, raises ValueError."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    _check_keys(where, doc, known)
+    for key, value in doc.items():
+        if key != "dim":
+            _check_numbers(f"{where} value {key!r}", value)
+    return doc
+
+
 def _dim(doc):
     # a whole JSON number: 2.0 is one; 2.9, "2", true and 1e400 are not
     dim = doc["dim"]
@@ -372,7 +419,7 @@ def _dim(doc):
 
 def map_from_json(text):
     """Parse a map document; returns (PhaseSpaceMap, hbar)."""
-    doc = json.loads(text)
+    doc = _load_object(text, "map file", ("dim", "hbar", "A", "B", "C", "D"))
     m = PhaseSpaceMap(_dim(doc), doc["A"], doc["B"], doc["C"], doc["D"])
     return m, float(doc.get("hbar", 1.0))
 
@@ -388,7 +435,7 @@ def params_to_json(params):
 
 
 def params_from_json(text):
-    doc = json.loads(text)
+    doc = _load_object(text, "deformation file", ("dim", "hbar", "theta", "eta"))
     return DeformationParams(
         _dim(doc), np.array(doc["theta"]), np.array(doc["eta"]), float(doc.get("hbar", 1.0))
     )

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .algebra import map_from_json, params_from_json, verify_deformation
+from .algebra import _check_keys, _is_number, map_from_json, params_from_json, verify_deformation
 from .nc2d import (_ONE_PIVOT, Params2D, SingularBranchError, _item, complete_2d_batch,
                    params2d_to_doc)
 from .nc3d import generate_feasible_3d, params3d_from_json, params3d_to_doc, residual_3d, solve_3d
@@ -225,12 +225,6 @@ _SCENARIO = {"coeffs": {"x1": 0.0, "x2": 0.0, "x3": 0.0, "y3": 0.0},
              "params": {"hbar": 1.0, "f_theta": 0.0, "theta": 0.0}}
 
 
-def _check_keys(where, given, known):
-    unknown = sorted(set(given) - set(known))
-    if unknown:  # a misspelt key would run with the default
-        raise ValueError(f"{where} has no key {unknown[0]!r}")
-
-
 def _load_scenario(path, dt=None, steps=None):
     """(field, coeffs, the keyword arguments of a run) of a scenario file:
     hbar, f_theta and theta, each at its default where not given, and
@@ -310,11 +304,6 @@ SWEEP_MAX_POINTS = 1_000_000
 SWEEP_CHUNK = 8192
 # rows rendered and written at once; only this many rows' text is held
 SWEEP_SLICE = 1024
-
-
-def _is_number(v):
-    # a JSON number the batched engine can hold as a float (bool is not one)
-    return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
 
 
 def _axis_length(name, spec):

@@ -1,4 +1,4 @@
-"""The 3D consistency condition: residual, elimination identities, and a
+"""The 3D consistency condition: residual, closed-form completion, and a
 damped Newton solver.
 
 The unknowns are packed as an 18-vector in the fixed order
@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import HBAR_MESSAGE, antisymmetric_3d
+from .algebra import HBAR_MESSAGE, _load_object, _ratio, antisymmetric_3d
 
 FEASIBLE_TOL = 1e-12
-GAP_TOL = 1e-10
+# complete3d's class cutoff: every class ratio is of degree 0 in the
+# sector scales
+CLASS_TOL = 1e-10
 
 UNKNOWN_NAMES = (
     "f_theta_x", "f_theta_y", "f_theta_z",
@@ -43,12 +45,6 @@ _GROUPS = {
     "theta": range(12, 15),
     "eta": range(15, 18),
 }
-
-
-class DegenerateDenominatorError(ValueError):
-    def __init__(self, name):
-        self.name = name
-        super().__init__(f"degenerate denominator: {name}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +90,10 @@ def unpack(x, hbar=1.0):
     )
 
 
+# the off-diagonal entries (1,2), (1,3), (2,3), zero-based
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
 def _block_map():
     # m[i] = (dF/dx_i, dG/dx_i) for F = f_theta - theta and
     # G = f_eta - eta over the packed 18-vector of the module docstring.
@@ -103,7 +103,7 @@ def _block_map():
         sym, anti = 6 * s, 12 + 3 * s
         for k in range(3):
             m[sym + k, s, k, k] = 1.0
-        for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        for k, (i, j) in enumerate(_PAIRS):
             m[sym + 3 + k, s, i, j] = m[sym + 3 + k, s, j, i] = 1.0
             m[anti + k, s, i, j] = -1.0
             m[anti + k, s, j, i] = 1.0
@@ -153,160 +153,69 @@ def residual_scale(p):
     return max(1.0, m * m)
 
 
-@dataclass(frozen=True)
-class AuxQuantities3D:
-    """Intermediate quantities of the entrywise residual expansion."""
-
-    mu: tuple            # (mu_1, mu_2, mu_3)
-    mu_pairs: tuple      # (mu_12, mu_13, mu_23)
-    vartheta: dict       # keys "12","13","21","23","31","32"
-    theta_eta: tuple     # ((te)_12, (te)_13, (te)_23)
-    f_products: tuple    # ((ff)_12, (ff)_13, (ff)_23)
-    w: dict              # keys "12","13","21","23","31","32"
-    w_prime: tuple       # (w'_12, w'_13, w'_23)
+# complete3d's class codes index this tuple
+CLASSES_3D = ("Regular", "RankThree", "RankAtMostOne", "Incompatible", "NonFinite")
+_DIAG, _OFF = ((0, 1, 2), (0, 1, 2)), tuple(zip(*_PAIRS))
 
 
-def aux_quantities(p):
-    t1, t2, t3 = p.theta
-    e1, e2, e3 = p.eta
-    ft1, ft2, ft3 = p.f_theta_off
-    fe1, fe2, fe3 = p.f_eta_off
+def complete3d(x, lam):
+    """Complete the momentum sector of (18,) or (N, 18) packed vectors.
 
-    mu1 = t1 * fe1 - e1 * ft1
-    mu2 = t2 * fe2 - e2 * ft2
-    mu3 = t3 * fe3 - e3 * ft3
-    mu_pairs = (mu1 + mu2, mu3 - mu1, -mu3 - mu2)
+    F G = 0 puts every column of G in ker F.  Where F has rank 2, with n
+    the unit vector along the largest cross product of two rows of F,
+    that leaves G = n w^T.  Its antisymmetric part is -eta, so
+    w x n = b with b = -2 axial(eta), axial(A) = (A[2,1], A[0,2], A[1,0]);
+    that is solvable iff n . b = 0, by w = n x b + lam n.  So
+    f_eta = sym(n w^T) is a one-parameter family in lam = n^T f_eta n,
+    which carries the units of the eta sector.  ``lam`` is a scalar or
+    one value per vector.
 
-    vt = {
-        "12": t1 * fe2 - e2 * ft1,
-        "13": t1 * fe3 + e3 * ft1,
-        "21": t2 * fe1 - e1 * ft2,
-        "23": t2 * fe3 - e3 * ft2,
-        "31": t3 * fe1 + e1 * ft3,
-        "32": t3 * fe2 - e2 * ft3,
-    }
-    te = (t1 * e1 + t2 * e2, t1 * e1 + t3 * e3, t2 * e2 + t3 * e3)
-    ff = (ft1 * fe1 + ft2 * fe2, ft1 * fe1 + ft3 * fe3, ft2 * fe2 + ft3 * fe3)
+    Returns (x with its f_eta slots completed, the int8 class of each
+    vector as an index into CLASSES_3D, |det F| / prod(row norms of F),
+    |n . b| / |b|); each ratio reads 0/0 as 0.  The first class that
+    holds is taken:
 
-    w = {
-        "23": t2 * e3 + vt["23"] - ft2 * fe3,
-        "32": t3 * e2 + vt["32"] - ft3 * fe2,
-        "13": -t1 * e3 + vt["13"] - ft1 * fe3,
-        "31": -t3 * e1 - vt["31"] - ft3 * fe1,
-        "12": t1 * e2 - vt["12"] - ft1 * fe2,
-        "21": t2 * e1 - vt["21"] - ft2 * fe1,
-    }
-    w_prime = (
-        te[0] - ff[0] + mu_pairs[0],
-        te[1] - ff[1] + mu_pairs[1],
-        te[2] - ff[2] + mu_pairs[2],
-    )
-    return AuxQuantities3D(
-        mu=(mu1, mu2, mu3),
-        mu_pairs=mu_pairs,
-        vartheta=vt,
-        theta_eta=te,
-        f_products=ff,
-        w=w,
-        w_prime=w_prime,
-    )
+    - NonFinite: a non-finite input;
+    - RankThree: det ratio > CLASS_TOL; only G = 0 solves, so only
+      eta = 0 admits a completion, f_eta = 0;
+    - RankAtMostOne: no cross product above CLASS_TOL times the largest
+      product of two row norms; the family has more than one parameter;
+    - Incompatible: n . b ratio > CLASS_TOL; no f_eta solves;
+    - NonFinite: the completion overflows;
+    - Regular.
 
-
-def residual_3d_from_aux(p):
-    """Residual assembled from the aux quantities instead of the direct
-    product; used to cross-validate the entrywise expansion."""
-    a = aux_quantities(p)
-    t1, t2, t3 = p.theta
-    e1, e2, e3 = p.eta
-    ftx, fty, ftz = p.f_theta_diag
-    ft1, ft2, ft3 = p.f_theta_off
-    fex, fey, fez = p.f_eta_diag
-    fe1, fe2, fe3 = p.f_eta_off
-    return np.array(
-        [
-            ftx * fex - a.w_prime[0],
-            ftx * (fe1 - e1) + fey * (ft1 - t1) - a.w["23"],
-            ftx * (fe2 - e2) + fez * (ft2 - t2) - a.w["13"],
-            fty * (fe1 + e1) + fex * (ft1 + t1) - a.w["32"],
-            fty * fey - a.w_prime[1],
-            fty * (fe3 - e3) + fez * (ft3 - t3) - a.w["12"],
-            ftz * (fe2 + e2) + fex * (ft2 + t2) - a.w["31"],
-            ftz * (fe3 + e3) + fey * (ft3 + t3) - a.w["21"],
-            ftz * fez - a.w_prime[2],
-        ]
-    )
-
-
-@dataclass(frozen=True)
-class EliminationResult:
-    """Three-route expressions for each momentum-sector diagonal entry."""
-
-    estimates: dict      # name -> (route1, route2, route3)
-    stored: dict         # name -> value carried by the instance
-    max_gap: float       # worst relative gap, routes vs each other and stored
-
-    @property
-    def consistent(self):
-        return self.max_gap <= GAP_TOL
-
-
-def eliminate_3d(p):
-    """Evaluate the elimination identities for f_eta_x, f_eta_y, f_eta_z.
-
-    Each diagonal entry has three equivalent expressions in the
-    remaining unknowns; their mutual gaps (and the gap to the stored
-    value) vanish exactly on feasible instances.  A denominator within
-    1e-10 max(1, largest |unknown|) of zero raises, naming it.
+    Only Regular vectors are completed; the others carry NaN f_eta slots.
     """
-    t1, t2, t3 = p.theta
-    e1, e2, e3 = p.eta
-    ftx, fty, ftz = p.f_theta_diag
-    ft1, ft2, ft3 = p.f_theta_off
-    fe1, fe2, fe3 = p.f_eta_off
-    tol = 1e-10 * max(1.0, max(abs(v) for v in pack(p)))
-
-    denoms = {
-        "f_theta_1 + theta_1": ft1 + t1,
-        "f_theta_1 - theta_1": ft1 - t1,
-        "f_theta_2 + theta_2": ft2 + t2,
-        "f_theta_2 - theta_2": ft2 - t2,
-        "f_theta_3 + theta_3": ft3 + t3,
-        "f_theta_3 - theta_3": ft3 - t3,
-        "f_theta_x": ftx,
-        "f_theta_y": fty,
-        "f_theta_z": ftz,
-    }
-    for name, val in denoms.items():
-        if abs(val) <= tol:
-            raise DegenerateDenominatorError(name)
-
-    a = aux_quantities(p)
-    w, wp = a.w, a.w_prime
-    estimates = {
-        "f_eta_x": (
-            (w["32"] - (fe1 + e1) * fty) / (ft1 + t1),
-            (w["31"] - (fe2 + e2) * ftz) / (ft2 + t2),
-            wp[0] / ftx,
-        ),
-        "f_eta_y": (
-            (w["23"] - (fe1 - e1) * ftx) / (ft1 - t1),
-            (w["21"] - (fe3 + e3) * ftz) / (ft3 + t3),
-            wp[1] / fty,
-        ),
-        "f_eta_z": (
-            (w["13"] - (fe2 - e2) * ftx) / (ft2 - t2),
-            (w["12"] - (fe3 - e3) * fty) / (ft3 - t3),
-            wp[2] / ftz,
-        ),
-    }
-    stored = dict(zip(("f_eta_x", "f_eta_y", "f_eta_z"), p.f_eta_diag))
-    max_gap = 0.0
-    for name, routes in estimates.items():
-        vals = list(routes) + [stored[name]]
-        span = max(vals) - min(vals)
-        scale = max(1.0, max(abs(v) for v in vals))
-        max_gap = max(max_gap, span / scale)
-    return EliminationResult(estimates=estimates, stored=stored, max_gap=float(max_gap))
+    x = np.asarray(x, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    e = x[..., 15:18]
+    b = 2.0 * np.stack([e[..., 2], -e[..., 1], e[..., 0]], -1)
+    with np.errstate(all="ignore"):  # non-finite or overflowing draws are classed below
+        F, _ = _blocks(x)
+        rows = np.linalg.norm(F, axis=-1)
+        cross = np.stack([np.cross(F[..., i, :], F[..., j, :]) for i, j in _PAIRS], -2)
+        sizes = np.linalg.norm(cross, axis=-1)
+        c = np.take_along_axis(cross, sizes.argmax(-1)[..., None, None], -2)[..., 0, :]
+        u = c / np.abs(c).max(-1, keepdims=True)  # keeps n's bits under power-of-two scaling
+        n = u / np.linalg.norm(u, axis=-1, keepdims=True)
+        w = np.cross(n, b) + lam[..., None] * n
+        G = n[..., :, None] * w[..., None, :]
+        S = 0.5 * (G + np.swapaxes(G, -1, -2))
+        det = np.abs(np.sum(F[..., 0, :] * cross[..., 2, :], -1))
+        det_ratio = _ratio(det, rows.prod(-1))
+        pairs = np.max([rows[..., i] * rows[..., j] for i, j in _PAIRS], 0)
+        rank_ratio = _ratio(sizes.max(-1), pairs)
+        compat = _ratio(np.abs(np.sum(n * b, -1)), np.linalg.norm(b, axis=-1))
+    f_eta = np.concatenate([S[(..., *_DIAG)], S[(..., *_OFF)]], -1)
+    kind = np.select(
+        [~(np.isfinite(x).all(-1) & np.isfinite(lam)), det_ratio > CLASS_TOL,
+         rank_ratio <= CLASS_TOL, compat > CLASS_TOL, ~np.isfinite(f_eta).all(-1)],
+        [CLASSES_3D.index(name) for name in
+         ("NonFinite", "RankThree", "RankAtMostOne", "Incompatible", "NonFinite")],
+        CLASSES_3D.index("Regular")).astype(np.int8)
+    out = x.copy()
+    out[..., 6:12] = np.where((kind == 0)[..., None], f_eta, np.nan)
+    return out, kind, det_ratio, compat
 
 
 def generate_feasible_3d(seed, hbar=1.0, force_zero_c=False):
@@ -488,13 +397,6 @@ def params3d_to_json(p):
 
 
 def params3d_from_json(text):
-    doc = json.loads(text)
-    return Params3D(
-        theta=tuple(doc["theta"]),
-        eta=tuple(doc["eta"]),
-        f_theta_diag=tuple(doc["f_theta_diag"]),
-        f_theta_off=tuple(doc["f_theta_off"]),
-        f_eta_diag=tuple(doc["f_eta_diag"]),
-        f_eta_off=tuple(doc["f_eta_off"]),
-        hbar=float(doc.get("hbar", 1.0)),
-    )
+    names = ("theta", "eta", "f_theta_diag", "f_theta_off", "f_eta_diag", "f_eta_off")
+    doc = _load_object(text, "3D parameter file", names + ("hbar",))
+    return Params3D(*(tuple(doc[name]) for name in names), hbar=float(doc.get("hbar", 1.0)))

@@ -26,7 +26,8 @@ from ncphase.algebra import (
     verify_deformation,
 )
 from ncphase.nc2d import complete_2d, maps_2d, residual_2d
-from ncphase.nc3d import generate_feasible_3d, pack, residual_3d, residual_scale, solve_3d, unpack
+from ncphase.nc3d import (CLASSES_3D, complete3d, generate_feasible_3d, pack, residual_3d,
+                          residual_scale, solve_3d, unpack)
 from ncphase.dynamics import (
     ClosedFormCoeffs,
     FieldConfig,
@@ -164,12 +165,30 @@ def test_criterion_4_closed_form_2d():
              f"worked instance {'exact' if exact else 'WRONG'}")
 
 
+def _symmetric(diag, off):
+    return np.array([[diag[0], off[0], off[1]], [off[0], diag[1], off[2]],
+                     [off[1], off[2], diag[2]]])
+
+
 def test_criterion_5_3d_system():
     worst = 0.0
+    xs, lams = [], []
     for seed in range(1000):
         p = generate_feasible_3d(seed)
         worst = max(worst, np.abs(residual_3d(p)).max() / residual_scale(p))
+        # lam = n^T f_eta n, with n spanning ker(f_theta - theta) by its SVD
+        F = _symmetric(p.f_theta_diag, p.f_theta_off) - antisymmetric_3d(p.theta)
+        n = np.linalg.svd(F)[2][-1]
+        xs.append(pack(p))
+        lams.append(n @ _symmetric(p.f_eta_diag, p.f_eta_off) @ n)
     feasible_ok = worst <= 1e-12
+
+    # the closed form gives each stored f_eta back from its lam
+    xs = np.array(xs)
+    out, kind, _, _ = complete3d(xs, np.array(lams))
+    repro = float((np.abs(out[:, 6:12] - xs[:, 6:12]).max(1) / np.abs(xs[:, 6:12]).max(1)).max())
+    counts = {name: int((kind == i).sum()) for i, name in enumerate(CLASSES_3D)}
+    closed_ok = repro <= 4e-15 and counts["Regular"] == 1000
 
     rng = np.random.default_rng(105)
     hits = 0
@@ -192,9 +211,10 @@ def test_criterion_5_3d_system():
         floors.append((res.residual_max, obstruction))
         floor_ok &= (not res.converged) and res.residual_max >= obstruction > 0.0
 
-    ok = feasible_ok and converge_ok and floor_ok
-    _verdict(5, "3D generator + solver", ok,
-             f"feasible residual {worst:.3e}, reconvergence {hits}/200, "
+    ok = feasible_ok and closed_ok and converge_ok and floor_ok
+    _verdict(5, "3D generator + closed form + solver", ok,
+             f"feasible residual {worst:.3e}, f_eta reproduction {repro:.3e}, "
+             f"classes {counts}, reconvergence {hits}/200, "
              f"floor vs obstruction {[(f'{a:.2e}', f'{b:.2e}') for a, b in floors]}")
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ncphase import algebra
 from ncphase.algebra import (
     DeformationParams,
     DimensionMismatchError,
@@ -245,3 +246,41 @@ def test_sw_table_property(scale):
     assert np.abs(t.xx - theta).max() <= 1e-12 * max(1.0, abs(scale))
     assert np.all(t.pp == 0.0)
     assert np.abs(t.xp - np.eye(2)).max() <= 1e-12
+
+
+def scaled_blocks(rng, dim):
+    # each block at its own power of two, each entry within 10^+-6 of it
+    return (rng.uniform(-1.0, 1.0, (4, dim, dim)) * 2.0 ** rng.integers(-200, 201, (4, 1, 1))
+            * 10.0 ** rng.uniform(-6.0, 6.0, (4, dim, dim)))
+
+
+def test_bracket_routes_agree_entrywise_at_every_scale():
+    # against 1e-13 max(1, max|M J M^T|), about 3% of these maps raised: a
+    # large block product that cancels leaves its rounding in a small entry
+    rng = np.random.default_rng(61)
+    for i in range(2000):
+        dim = 2 + i % 2
+        bracket_table(PhaseSpaceMap(dim, *scaled_blocks(rng, dim)), hbar=1.3)
+
+
+def test_bracket_route_check_catches_a_perturbed_symplectic_form(monkeypatch):
+    # J off by 1e-10 relative: at block scale 2^-70 every bracket is about
+    # 2^-140, far below the absolute 1e-13 a max(1, ...) floor allowed
+    rng = np.random.default_rng(62)
+    m = PhaseSpaceMap(2, *(rng.uniform(-1.0, 1.0, (4, 2, 2)) * 2.0 ** -70))
+    bracket_table(m)
+    exact = algebra.symplectic_form
+    monkeypatch.setattr(algebra, "symplectic_form", lambda dim: exact(dim) * (1.0 + 1e-10))
+    with pytest.raises(RuntimeError, match="bracket route disagreement"):
+        bracket_table(m)
+
+
+def test_bracket_table_returns_an_overflowing_table():
+    # a table with non-finite entries is no route disagreement; the
+    # deviation check then fails it
+    m = PhaseSpaceMap(2, *np.full((4, 2, 2), 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = bracket_table(m)
+        rep = verify_deformation(m, DeformationParams.commutative(2))
+    assert not np.isfinite(t.xp).all()
+    assert not rep.passed

@@ -210,6 +210,50 @@ def test_gen3d_solve3d_pipeline(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("key, value, shown", [
+    ("theta", "123", "value 'theta' is not a number: '123'"),
+    ("theta", [0.1, True, 0.2], "value 'theta' is not a number: True"),
+    ("eta", [0.1, "1.5", 0.2], "value 'eta' is not a number: '1.5'"),
+    ("f_eta_off", [0.1, None, 0.2], "value 'f_eta_off' is not a number: None"),
+    ("hbar", "0.5", "value 'hbar' is not a number: '0.5'"),
+    ("hbar", True, "value 'hbar' is not a number: True"),
+    ("hbr", 0.5, "has no key 'hbr'"),
+], ids=["theta-string", "theta-bool", "eta-string", "null", "hbar-string", "hbar-bool",
+        "misspelt-key"])
+def test_solve3d_input_holds_numbers_and_known_keys(key, value, shown, tmp_path, capsys):
+    # "123" ran as theta = (1, 2, 3), true and "1.5" as numbers, and a
+    # misspelt hbr as hbar = 1, each with exit 0
+    p3 = tmp_path / "p3.json"
+    assert cli.run(["gen3d", "--seed", "42", "--out", str(p3)]) == 0
+    solved = tmp_path / "solved.json"
+    assert cli.run(["solve3d", "--input", str(p3), "--out", str(solved)]) == 0
+    assert cli.run(["solve3d", "--input", str(solved)]) == 0  # --out files load too
+    capsys.readouterr()
+    p3.write_text(json.dumps(dict(json.loads(p3.read_text()), **{key: value})))
+    assert cli.run(["solve3d", "--input", str(p3), "--json"]) == 2
+    doc = strict_loads(capsys.readouterr().out)
+    assert doc["errata_notes"] == [f"ValueError: 3D parameter file {shown}"]
+
+
+@pytest.mark.parametrize("index, key, value, shown", [
+    (0, "B", [["-0.5", 0.0], [0.35, 0.0]], "map file value 'B' is not a number: '-0.5'"),
+    (0, "hbar", True, "map file value 'hbar' is not a number: True"),
+    (0, "extra", 1.0, "map file has no key 'extra'"),
+    (1, "hbar", True, "deformation file value 'hbar' is not a number: True"),
+    (1, "theta", [[0.0, "0.7"], [-0.7, 0.0]],
+     "deformation file value 'theta' is not a number: '0.7'"),
+    (1, "hbr", 1.0, "deformation file has no key 'hbr'"),
+], ids=["map-string-entry", "map-hbar-bool", "map-extra-key", "params-hbar-bool",
+        "params-string-entry", "params-misspelt-key"])
+def test_check_map_files_hold_numbers_and_known_keys(index, key, value, shown, sw_fixture,
+                                                     capsys):
+    path = sw_fixture[index]
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), **{key: value})))
+    argv = ["check-map", "--map", str(sw_fixture[0]), "--theta", str(sw_fixture[1]), "--json"]
+    assert cli.run(argv) == 2
+    assert strict_loads(capsys.readouterr().out)["errata_notes"] == [f"ValueError: {shown}"]
+
+
 def test_match_field_payload_and_note():
     r = run_cli("match-field", "--alpha-x", "1", "--alpha-y", "2",
                 "--beta-x", "1", "--beta-y", "2", "--json")

@@ -1,14 +1,14 @@
-"""3D residual, auxiliary identities, generator, and the damped solver."""
+"""3D residual, closed-form completion, generator, and the damped solver."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ncphase.nc3d import (
+    CLASSES_3D,
     UNKNOWN_NAMES,
-    DegenerateDenominatorError,
-    Params3D,
-    aux_quantities,
-    eliminate_3d,
+    complete3d,
     frozen_mask,
     generate_feasible_3d,
     jacobian3d,
@@ -17,14 +17,15 @@ from ncphase.nc3d import (
     params3d_to_json,
     residual3d,
     residual_3d,
-    residual_3d_from_aux,
     residual_scale,
     solve_3d,
     unpack,
 )
 
 FEASIBLE_TOL = 1e-12
-AUX_AGREEMENT_TOL = 1e-10
+EPS = np.finfo(float).eps
+# the off-diagonal entries (1,2), (1,3), (2,3) as index arrays
+OFF = ((0, 0, 1), (1, 2, 2))
 
 
 def random_point(rng):
@@ -40,26 +41,6 @@ def test_pack_unpack_roundtrip():
     assert len(UNKNOWN_NAMES) == 18
 
 
-def test_theta_eta_pair_sums():
-    p = unpack(np.zeros(18))
-    p = Params3D(theta=(1.0, 2.0, 3.0), eta=(4.0, 5.0, 6.0),
-                 f_theta_diag=p.f_theta_diag, f_theta_off=p.f_theta_off,
-                 f_eta_diag=p.f_eta_diag, f_eta_off=p.f_eta_off)
-    aux = aux_quantities(p)
-    assert aux.theta_eta == pytest.approx((14.0, 22.0, 28.0), abs=0.0)
-
-
-def test_aux_route_matches_matrix_product():
-    # the scalar recombination must reproduce the direct product at any
-    # point, not just feasible ones
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        p = random_point(rng)
-        direct = residual_3d(p)
-        via_aux = residual_3d_from_aux(p)
-        assert np.abs(direct - via_aux).max() <= AUX_AGREEMENT_TOL * residual_scale(p)
-
-
 def test_generator_is_exactly_feasible():
     for seed in range(50):
         p = generate_feasible_3d(seed)
@@ -72,32 +53,6 @@ def test_generator_zero_momentum_sector():
     assert p.f_eta_off == (0.0, 0.0, 0.0)
     assert p.eta == (0.0, 0.0, 0.0)
     assert np.abs(residual_3d(p)).max() == 0.0
-
-
-def test_elimination_consistent_at_feasible_points():
-    for seed in range(20):
-        p = generate_feasible_3d(seed)
-        res = eliminate_3d(p)
-        assert res.consistent, res.max_gap
-        for name in ("f_eta_x", "f_eta_y", "f_eta_z"):
-            assert len(res.estimates[name]) == 3
-
-
-def test_elimination_flags_vanishing_denominator():
-    p = generate_feasible_3d(0)
-    q = Params3D(theta=(p.f_theta_off[0], p.theta[1], p.theta[2]), eta=p.eta,
-                 f_theta_diag=p.f_theta_diag, f_theta_off=p.f_theta_off,
-                 f_eta_diag=p.f_eta_diag, f_eta_off=p.f_eta_off)
-    with pytest.raises(DegenerateDenominatorError) as err:
-        eliminate_3d(q)
-    assert "f_theta_1" in str(err.value)
-
-
-def test_elimination_detects_infeasible_point():
-    rng = np.random.default_rng(9)
-    p = random_point(rng)
-    res = eliminate_3d(p)
-    assert not res.consistent
 
 
 def test_frozen_mask_forms():
@@ -187,9 +142,9 @@ def test_jacobian_rank_at_feasible_points():
             assert int((s > 1e-7 * s[0]).sum()) == 7
 
 
-def residual_oracle(x):
-    # per-entry reference: build both blocks element by element, then a
-    # scalar triple loop for the product
+def blocks(x):
+    """F = f_theta - theta and G = f_eta - eta of one packed vector, built
+    element by element."""
     F = np.empty((3, 3))
     F[0, 0] = x[0]
     F[0, 1] = x[3] - x[12]
@@ -210,6 +165,13 @@ def residual_oracle(x):
     G[2, 0] = x[10] + x[16]
     G[2, 1] = x[11] + x[17]
     G[2, 2] = x[8]
+    return F, G
+
+
+def residual_oracle(x):
+    # per-entry reference: both blocks element by element, then a scalar
+    # triple loop for the product
+    F, G = blocks(x)
     r = np.empty(9)
     for i in range(3):
         for j in range(3):
@@ -237,3 +199,159 @@ def test_json_roundtrip():
     p = generate_feasible_3d(12, hbar=0.7)
     q = params3d_from_json(params3d_to_json(p))
     assert q == p
+
+
+def packed(F, G):
+    """The packed vector of blocks F = f_theta - theta and G = f_eta - eta."""
+    sym = [np.concatenate([np.diag(M), 0.5 * (M + M.T)[OFF]]) for M in (F, G)]
+    return np.concatenate(sym + [0.5 * (M.T - M)[OFF] for M in (F, G)])
+
+
+def kernel_lambda(x):
+    """n^T f_eta n, with n spanning ker F taken from the SVD of F."""
+    F, G = blocks(x)
+    n = np.linalg.svd(F)[2][-1]
+    return n @ (0.5 * (G + G.T)) @ n
+
+
+def test_completion_reproduces_generated_instances():
+    xs = np.array([pack(generate_feasible_3d(seed)) for seed in range(200)])
+    lam = np.array([kernel_lambda(x) for x in xs])
+    out, kind, det_ratio, compat = complete3d(xs, lam)
+    assert kind.dtype == np.int8 and (kind == CLASSES_3D.index("Regular")).all()
+    assert det_ratio.max() <= 1e-14 and compat.max() <= 1e-14
+    assert np.array_equal(out[:, :6], xs[:, :6]) and np.array_equal(out[:, 12:], xs[:, 12:])
+    f_eta = xs[:, 6:12]
+    assert (np.abs(out[:, 6:12] - f_eta).max(1) <= 4e-15 * np.abs(f_eta).max(1)).all()
+    # the residual of each completion: a few ulps of max|F| max|G|
+    for x, r in zip(out, residual3d(out)):
+        F, G = blocks(x)
+        assert np.abs(r).max() <= 8 * EPS * np.abs(F).max() * np.abs(G).max()
+
+
+def test_completion_where_a_route_denominator_vanishes():
+    # f_theta_1 + theta_1 = 0 on a feasible instance: the entrywise
+    # elimination divided by it; the kernel completion does not
+    F = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [1.0, 3.0, 4.0]])
+    n = np.linalg.svd(F)[2][-1]
+    x = packed(F, np.outer(n, [0.3, -1.2, 0.7]))
+    assert x[3] + x[12] == 0.0 and np.abs(residual3d(x)).max() <= 1e-15
+    out, kind, _, _ = complete3d(x, kernel_lambda(x))
+    assert CLASSES_3D[kind] == "Regular"
+    assert np.abs(out - x).max() <= 1e-15
+    assert np.abs(residual3d(out)).max() <= 1e-15
+
+
+def test_uniform_draws_are_rank_three():
+    # a generic F is invertible, so only G = 0 solves: no completion
+    xs = np.random.default_rng(9).uniform(-2.0, 2.0, (100_000, 18))
+    out, kind, det_ratio, _ = complete3d(xs, 0.5)
+    assert (kind == CLASSES_3D.index("RankThree")).all()
+    assert det_ratio.min() > 1e3 * 1e-10
+    assert np.isnan(out[:, 6:12]).all()
+
+
+def test_completion_classes():
+    x = pack(generate_feasible_3d(5))
+    F, G = blocks(x)
+    n = np.linalg.svd(F)[2][-1]
+    eta_off = x.copy()
+    eta_off[15:18] += 0.1  # moves b off the plane orthogonal to n
+    low = packed(np.outer([1.0, 2.0, -1.0], [0.5, 0.0, 3.0]), G)
+    huge = x.copy()
+    huge[:6] *= 1e200
+    cases = {"Regular": (x, 0.0), "Incompatible": (eta_off, 0.0), "RankAtMostOne": (low, 0.0),
+             "NonFinite": (x, np.inf)}
+    for name, (xi, lam) in cases.items():
+        out, kind, _, _ = complete3d(xi, lam)
+        assert CLASSES_3D[kind] == name
+        assert np.isnan(out[6:12]).all() == (name != "Regular")
+    for bad in (np.nan, np.inf):
+        y = x.copy()
+        y[7] = bad  # an input f_eta slot is an input too
+        assert CLASSES_3D[complete3d(y, 0.0)[1]] == "NonFinite"
+    # finite input whose cross products overflow
+    assert CLASSES_3D[complete3d(huge, 0.0)[1]] == "NonFinite"
+    # F = 0 reads 0/0 as 0 in every ratio
+    zero = np.zeros(18)
+    out, kind, det_ratio, _ = complete3d(zero, 0.0)
+    assert CLASSES_3D[kind] == "RankAtMostOne" and det_ratio == 0.0
+    assert abs(n @ F @ n) <= 1e-15
+
+
+def test_one_vector_is_the_n1_call():
+    xs = np.array([pack(generate_feasible_3d(seed)) for seed in range(5)])
+    lam = np.linspace(-1.0, 1.0, 5)
+    batch = complete3d(xs, lam)
+    for i in range(5):
+        single = complete3d(xs[i], lam[i])
+        assert single[0].shape == (18,) and single[1].shape == ()
+        for b, v in zip(batch, single):
+            assert np.array_equal(b[i], v)
+
+
+def rotation(q):
+    """The rotation of the unit quaternion along q (det +1)."""
+    a, b, c, d = np.asarray(q) / np.linalg.norm(q)
+    return np.array([
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+    ])
+
+
+SEEDS = st.integers(0, 10_000)
+EXPONENTS = st.integers(-200, 200)
+QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda q: np.linalg.norm(q) > 0.1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, k=EXPONENTS, j=EXPONENTS, uniform=st.booleans())
+def test_completion_scales_with_each_sector_bit_for_bit(seed, k, j, uniform):
+    # theta sector (f_theta, theta) by 2^k, eta sector (f_eta, eta, lam) by 2^j
+    if uniform:
+        x = np.random.default_rng(seed).uniform(-2.0, 2.0, 18)
+    else:
+        x = pack(generate_feasible_3d(seed))
+    lam = kernel_lambda(x)
+    y = x.copy()
+    y[np.r_[0:6, 12:15]] *= 2.0 ** k
+    y[np.r_[6:12, 15:18]] *= 2.0 ** j
+    out, kind, det_ratio, compat = complete3d(x, lam)
+    out_s, kind_s, det_s, compat_s = complete3d(y, lam * 2.0 ** j)
+    assert kind_s == kind and det_s == det_ratio
+    assert np.array_equal(compat_s, compat, equal_nan=True)
+    assert np.array_equal(out_s[6:12], out[6:12] * 2.0 ** j, equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, q=QUATERNIONS)
+def test_rotated_input_gives_the_rotated_completion(seed, q):
+    # (R F R^T)(R G R^T) = R F G R^T; lam = n^T f_eta n is unchanged as n -> R n
+    x = pack(generate_feasible_3d(seed))
+    lam = kernel_lambda(x)
+    F, G = blocks(x)
+    R = rotation(q)
+    xr = packed(R @ F @ R.T, R @ G @ R.T)
+    out, kind, _, _ = complete3d(x, lam)
+    out_r, kind_r, _, _ = complete3d(xr, lam)
+    assert kind == kind_r == CLASSES_3D.index("Regular")
+    S, S_r = (0.5 * (M + M.T) for M in (blocks(out)[1], blocks(out_r)[1]))
+    # n moves by about eps times the condition of F on its range
+    sv = np.linalg.svd(F, compute_uv=False)
+    assert np.abs(R @ S @ R.T - S_r).max() <= 1e-14 * (sv[0] / sv[1]) * np.abs(S).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, q=QUATERNIONS, uniform=st.booleans())
+def test_residual_norm_is_rotation_invariant(seed, q, uniform):
+    if uniform:
+        x = np.random.default_rng(seed).uniform(-2.0, 2.0, 18)
+    else:
+        x = pack(generate_feasible_3d(seed))
+    F, G = blocks(x)
+    R = rotation(q)
+    xr = packed(R @ F @ R.T, R @ G @ R.T)
+    gap = abs(np.linalg.norm(residual3d(xr)) - np.linalg.norm(residual3d(x)))
+    assert gap <= 1e-14 * np.linalg.norm(F) * np.linalg.norm(G)
