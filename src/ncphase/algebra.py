@@ -241,7 +241,8 @@ def bracket_table(m, hbar=1.0):
     full = hbar * (M @ symplectic_form(m.dim) @ M.T)
     d = m.dim
     gaps = (np.abs(full[:d, :d] - xx), np.abs(full[d:, d:] - pp), np.abs(full[:d, d:] - xp))
-    # a NaN ratio (an overflowing table) is no disagreement, as before
+    # a NaN ratio (an overflowing table) is no route disagreement: the
+    # table's deviations are not finite, so verify_deformation fails it
     worst = [r for r in map(_max_ratio, gaps, _bracket_scales(m, hbar)) if r > 1e-13]
     if worst:
         raise RuntimeError(f"bracket route disagreement {max(worst):.3e} times its entry's "
