@@ -47,6 +47,12 @@ _GROUPS = {
 }
 
 
+# the three-component fields of Params3D, in declaration order and in
+# the packed order of the module docstring
+_VECTORS = ("theta", "eta", "f_theta_diag", "f_theta_off", "f_eta_diag", "f_eta_off")
+_PACKED = _VECTORS[2:] + _VECTORS[:2]
+
+
 @dataclass(frozen=True)
 class Params3D:
     theta: tuple
@@ -58,7 +64,7 @@ class Params3D:
     hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("theta", "eta", "f_theta_diag", "f_theta_off", "f_eta_diag", "f_eta_off"):
+        for name in _VECTORS:
             v = tuple(float(x) for x in getattr(self, name))
             if len(v) != 3:
                 raise ValueError(f"{name} must have three components")
@@ -72,22 +78,12 @@ class Params3D:
 
 
 def pack(p):
-    return np.array(
-        p.f_theta_diag + p.f_theta_off + p.f_eta_diag + p.f_eta_off + p.theta + p.eta
-    )
+    return np.concatenate([getattr(p, name) for name in _PACKED])
 
 
 def unpack(x, hbar=1.0):
-    x = np.asarray(x, dtype=float)
-    return Params3D(
-        theta=tuple(x[12:15]),
-        eta=tuple(x[15:18]),
-        f_theta_diag=tuple(x[0:3]),
-        f_theta_off=tuple(x[3:6]),
-        f_eta_diag=tuple(x[6:9]),
-        f_eta_off=tuple(x[9:12]),
-        hbar=hbar,
-    )
+    parts = np.asarray(x, dtype=float).reshape(6, 3)
+    return Params3D(**dict(zip(_PACKED, map(tuple, parts))), hbar=hbar)
 
 
 # the off-diagonal entries (1,2), (1,3), (2,3), zero-based
@@ -163,28 +159,22 @@ def complete3d(x, lam):
 
     F G = 0 puts every column of G in ker F.  Where F has rank 2, with n
     the unit vector along the largest cross product of two rows of F,
-    that leaves G = n w^T.  Its antisymmetric part is -eta, so
-    w x n = b with b = -2 axial(eta), axial(A) = (A[2,1], A[0,2], A[1,0]);
-    that is solvable iff n . b = 0, by w = n x b + lam n.  So
-    f_eta = sym(n w^T) is a one-parameter family in lam = n^T f_eta n,
-    which carries the units of the eta sector.  ``lam`` is a scalar or
-    one value per vector.
+    G = n w^T.  Its antisymmetric part -eta fixes w x n = b, with
+    b = -2 axial(eta) and axial(A) = (A[2,1], A[0,2], A[1,0]); that is
+    solvable iff n . b = 0, by w = n x b + lam n.  So f_eta = sym(n w^T)
+    is a one-parameter family in lam = n^T f_eta n (a scalar or one per
+    vector), which carries the units of the eta sector.
 
-    Returns (x with its f_eta slots completed, the int8 class of each
-    vector as an index into CLASSES_3D, |det F| / prod(row norms of F),
-    |n . b| / |b|); each ratio reads 0/0 as 0.  The first class that
-    holds is taken:
-
-    - NonFinite: a non-finite input;
-    - RankThree: det ratio > CLASS_TOL; only G = 0 solves, so only
-      eta = 0 admits a completion, f_eta = 0;
-    - RankAtMostOne: no cross product above CLASS_TOL times the largest
-      product of two row norms; the family has more than one parameter;
-    - Incompatible: n . b ratio > CLASS_TOL; no f_eta solves;
-    - NonFinite: the completion overflows;
-    - Regular.
-
-    Only Regular vectors are completed; the others carry NaN f_eta slots.
+    Returns (x with its f_eta slots completed, each vector's int8 class
+    as an index into CLASSES_3D, |det F| / prod(row norms of F) and
+    |n . b| / |b|, each ratio reading 0/0 as 0).  The first class that
+    holds is taken: NonFinite (a non-finite input); RankThree (det ratio
+    > CLASS_TOL: only G = 0 solves, so only eta = 0, with f_eta = 0);
+    RankAtMostOne (no cross product above CLASS_TOL times the largest
+    product of two row norms: more than one parameter); Incompatible
+    (n . b ratio > CLASS_TOL: no f_eta solves); NonFinite (the
+    completion overflows); Regular.  Only Regular vectors are completed;
+    the others carry NaN f_eta slots.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -381,15 +371,7 @@ def solve_3d(p0, frozen=None, tol=1e-10, max_iter=50, trace=False):
 
 def params3d_to_doc(p):
     """The JSON document of ``p`` as a dict of lists and floats."""
-    return {
-        "theta": list(p.theta),
-        "eta": list(p.eta),
-        "f_theta_diag": list(p.f_theta_diag),
-        "f_theta_off": list(p.f_theta_off),
-        "f_eta_diag": list(p.f_eta_diag),
-        "f_eta_off": list(p.f_eta_off),
-        "hbar": p.hbar,
-    }
+    return {**{name: list(getattr(p, name)) for name in _VECTORS}, "hbar": p.hbar}
 
 
 def params3d_to_json(p):
@@ -397,6 +379,5 @@ def params3d_to_json(p):
 
 
 def params3d_from_json(text):
-    names = ("theta", "eta", "f_theta_diag", "f_theta_off", "f_eta_diag", "f_eta_off")
-    doc = _load_object(text, "3D parameter file", names + ("hbar",))
-    return Params3D(*(tuple(doc[name]) for name in names), hbar=float(doc.get("hbar", 1.0)))
+    doc = _load_object(text, "3D parameter file", _VECTORS + ("hbar",))
+    return Params3D(*(tuple(doc[name]) for name in _VECTORS), hbar=float(doc.get("hbar", 1.0)))
