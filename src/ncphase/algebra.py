@@ -385,15 +385,15 @@ def _check_keys(where, given, known):
         raise ValueError(f"{where} has no key {unknown[0]!r}")
 
 
-def _check_numbers(where, value):
-    """Raise ValueError unless ``value`` is a JSON number or a nested list
-    of them.  An integer beyond the float range is left to float(), which
-    raises OverflowError."""
+def _check_numbers(where, key, value):
+    """Raise ValueError unless ``value``, under ``key`` in ``where``, is a
+    JSON number or a nested list of them.  An integer beyond the float
+    range is left to float(), which raises OverflowError."""
     if isinstance(value, list):
         for v in value:
-            _check_numbers(where, v)
+            _check_numbers(where, key, v)
     elif not (_is_number(value) or type(value) is int):
-        raise ValueError(f"{where} is not a number: {value!r}")
+        raise ValueError(f"{where} value {key!r} is not a number: {value!r}")
 
 
 def _load_object(text, where, known):
@@ -406,7 +406,7 @@ def _load_object(text, where, known):
     _check_keys(where, doc, known)
     for key, value in doc.items():
         if key != "dim":
-            _check_numbers(f"{where} value {key!r}", value)
+            _check_numbers(where, key, value)
     return doc
 
 

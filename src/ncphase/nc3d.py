@@ -78,7 +78,7 @@ class Params3D:
 
 
 def pack(p):
-    return np.concatenate([getattr(p, name) for name in _PACKED])
+    return np.array(p.f_theta_diag + p.f_theta_off + p.f_eta_diag + p.f_eta_off + p.theta + p.eta)
 
 
 def unpack(x, hbar=1.0):
