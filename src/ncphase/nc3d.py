@@ -204,7 +204,7 @@ def complete3d(x, lam):
          ("NonFinite", "RankThree", "RankAtMostOne", "Incompatible", "NonFinite")],
         CLASSES_3D.index("Regular")).astype(np.int8)
     out = x.copy()
-    out[..., 6:12] = np.where((kind == 0)[..., None], f_eta, np.nan)
+    out[..., 6:12] = np.where((kind == CLASSES_3D.index("Regular"))[..., None], f_eta, np.nan)
     return out, kind, det_ratio, compat
 
 

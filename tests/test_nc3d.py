@@ -230,8 +230,8 @@ def test_completion_reproduces_generated_instances():
 
 
 def test_completion_where_a_route_denominator_vanishes():
-    # f_theta_1 + theta_1 = 0 on a feasible instance: the entrywise
-    # elimination divided by it; the kernel completion does not
+    # a feasible instance with f_theta_1 + theta_1 = F[1, 0] = 0: the
+    # completion divides by no entry of F
     F = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [1.0, 3.0, 4.0]])
     n = np.linalg.svd(F)[2][-1]
     x = packed(F, np.outer(n, [0.3, -1.2, 0.7]))
