@@ -188,7 +188,14 @@ def test_criterion_5_3d_system():
     out, kind, _, _ = complete3d(xs, np.array(lams))
     repro = float((np.abs(out[:, 6:12] - xs[:, 6:12]).max(1) / np.abs(xs[:, 6:12]).max(1)).max())
     counts = {name: int((kind == i).sum()) for i, name in enumerate(CLASSES_3D)}
-    closed_ok = repro <= 4e-15 and counts["Regular"] == 1000
+    # each completion's residual against max|F| max|G|, a few ulps
+    closed_resid = 0.0
+    for q in map(unpack, out):
+        F = _symmetric(q.f_theta_diag, q.f_theta_off) - antisymmetric_3d(q.theta)
+        G = _symmetric(q.f_eta_diag, q.f_eta_off) - antisymmetric_3d(q.eta)
+        size = np.abs(F).max() * np.abs(G).max()
+        closed_resid = max(closed_resid, np.abs(residual_3d(q)).max() / size)
+    closed_ok = repro <= 4e-15 and counts["Regular"] == 1000 and closed_resid <= 8 * 2.0**-52
 
     rng = np.random.default_rng(105)
     hits = 0
@@ -214,6 +221,7 @@ def test_criterion_5_3d_system():
     ok = feasible_ok and closed_ok and converge_ok and floor_ok
     _verdict(5, "3D generator + closed form + solver", ok,
              f"feasible residual {worst:.3e}, f_eta reproduction {repro:.3e}, "
+             f"completion residual {closed_resid:.3e}, "
              f"classes {counts}, reconvergence {hits}/200, "
              f"floor vs obstruction {[(f'{a:.2e}', f'{b:.2e}') for a, b in floors]}")
 
