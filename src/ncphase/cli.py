@@ -25,8 +25,8 @@ from .nc2d import (_ONE_PIVOT, Params2D, SingularBranchError, _item, complete_2d
                    params2d_to_doc)
 from .nc3d import generate_feasible_3d, params3d_from_json, params3d_to_doc, residual_3d, solve_3d
 from .dynamics import (DEFAULT_STEPS, ClosedFormCoeffs, DegenerateFieldError, FieldConfig,
-                       NonMatchableError, equivalence_check, field_to_deformation_batch,
-                       simulate_matched, trajectory_to_csv)
+                       NonMatchableError, _matched_chunks, equivalence_check,
+                       field_to_deformation_batch, trajectory_to_csv)
 
 EXITS = {"pass": 0, "fail": 1, "error": 2}
 # exit code when stdout closes early (`ncphase ... | head`): 128 + SIGPIPE,
@@ -231,6 +231,10 @@ def _load_scenario(path, dt=None, steps=None):
     ``dt`` and ``steps`` where given, else the file's."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("scenario is not a JSON object")
+    if "field" not in doc:
+        raise ValueError("scenario has no 'field' section")
     field, sections = doc["field"], {name: doc.get(name, {}) for name in _SCENARIO}
     for name, value in (("field", field), *sections.items()):
         if not isinstance(value, dict):
@@ -266,14 +270,14 @@ def _step_count(steps):
 def _run_simulate(args):
     field, coeffs, run = _load_scenario(args["scenario"], args["dt"], args["steps"])
     try:
-        traj, match = simulate_matched(field, coeffs, **run)
+        match, dt, chunks = _matched_chunks(field, coeffs, **run)
     except (NonMatchableError, DegenerateFieldError) as err:
         return _error_row("simulate", _error_note(err))
     with open(args["out"], "w") as fh:
-        trajectory_to_csv(traj, fh)
+        trajectory_to_csv(chunks, fh)
     metrics = {
-        "rows": int(traj.times.size),
-        "dt": float(traj.times[1] - traj.times[0]),
+        "rows": run["steps"] + 1,
+        "dt": dt,
         "steps": run["steps"],
         "eta": match.eta,
     }
@@ -678,7 +682,7 @@ def run(argv=None):
     except BrokenPipeError:
         raise  # a closed stdout: main() ends with EXIT_CLOSED_STDOUT
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError, RuntimeError,
-            ZeroDivisionError, OverflowError) as err:
+            ZeroDivisionError, OverflowError, MemoryError) as err:
         report = _report(ns.command, "error", notes=[f"{type(err).__name__}: {err}"])
         status = _write(report, ns.as_json, sys.stdout)
     return EXITS[status]

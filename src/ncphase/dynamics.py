@@ -389,6 +389,11 @@ def period(field):
 # ---------------------------------------------------------------------------
 # Bracket-generated linear evolution.
 
+# rows per chunk of a trajectory: the integrator, the equivalence check
+# and the CSV writer each hold one chunk, whatever the step count
+CSV_CHUNK = 8192
+
+
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
@@ -401,6 +406,12 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
 
+    def chunks(self):
+        """(times, states, nc_states) of CSV_CHUNK rows at a time."""
+        for start in range(0, self.times.size, CSV_CHUNK):
+            rows = slice(start, start + CSV_CHUNK)
+            yield self.times[rows], self.states[rows], self.nc_states[rows]
+
 
 def bracket_generator(params):
     """Omega = [[theta, hbar I], [-hbar I, eta]]."""
@@ -409,20 +420,47 @@ def bracket_generator(params):
     return np.block([[params.theta, eye], [-eye, params.eta]])
 
 
-def rk4_trajectory(gen, drift, z0, dt, steps):
-    # classical RK4 on the affine system dz/dt = gen @ z + drift
-    n = z0.shape[0]
-    out = np.empty((steps + 1, n))
-    out[0] = z0
-    z = z0.copy()
-    for i in range(steps):
+def _rk4_steps(gen, drift, z, dt, out):
+    # classical RK4 on the affine system dz/dt = gen @ z + drift: one step
+    # from z per row of out; returns the last state
+    for i in range(out.shape[0]):
         k1 = np.dot(gen, z) + drift
         k2 = np.dot(gen, z + 0.5 * dt * k1) + drift
         k3 = np.dot(gen, z + 0.5 * dt * k2) + drift
         k4 = np.dot(gen, z + dt * k3) + drift
         z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = z
-    return out
+        out[i] = z
+    return z
+
+
+def _rk4_chunks(gen, drift, z0, dt, steps):
+    # the states z0 .. z_steps, CSV_CHUNK rows a chunk; the state carries
+    # from one chunk to the next
+    z = z0
+    for start in range(0, steps + 1, CSV_CHUNK):
+        out = np.empty((min(CSV_CHUNK, steps + 1 - start), z0.shape[0]))
+        if start == 0:
+            out[0] = z0
+        z = _rk4_steps(gen, drift, z, dt, out[1:] if start == 0 else out)
+        yield out
+
+
+def rk4_trajectory(gen, drift, z0, dt, steps):
+    """The (steps + 1, n) states of classical RK4 on the affine system
+    dz/dt = gen @ z + drift from z0, row 0 being z0."""
+    return np.concatenate(list(_rk4_chunks(gen, drift, z0, dt, steps)))
+
+
+def _linear_chunks(h, params, z0, dt, steps):
+    # every check of evolve_linear, then its states as _rk4_chunks
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    K = bracket_generator(params) @ h.S / params.hbar
+    drift = bracket_generator(params) @ h.offset / params.hbar
+    rho = np.abs(np.linalg.eigvals(K)).max()
+    if dt * rho >= STABILITY_LIMIT:
+        raise StabilityError(f"dt*rho(K) = {dt * rho:.3e} exceeds {STABILITY_LIMIT}")
+    return _rk4_chunks(K, drift, np.asarray(z0, dtype=float), float(dt), int(steps))
 
 
 def evolve_linear(h, params, z0, dt, steps):
@@ -434,17 +472,37 @@ def evolve_linear(h, params, z0, dt, steps):
     (e/c)^2 alpha^2 / m_p), so its norm changes when the units do; its
     eigenvalues, the rates the trajectory rotates and grows at, do not.
     """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    K = bracket_generator(params) @ h.S / params.hbar
-    drift = bracket_generator(params) @ h.offset / params.hbar
-    rho = np.abs(np.linalg.eigvals(K)).max()
-    if dt * rho >= STABILITY_LIMIT:
-        raise StabilityError(f"dt*rho(K) = {dt * rho:.3e} exceeds {STABILITY_LIMIT}")
-    z0 = np.asarray(z0, dtype=float)
-    states = rk4_trajectory(K, drift, z0, float(dt), int(steps))
-    times = np.arange(steps + 1) * float(dt)
-    return Trajectory(times=times, states=states)
+    states = np.concatenate(list(_linear_chunks(h, params, z0, dt, steps)))
+    return Trajectory(times=np.arange(steps + 1) * float(dt), states=states)
+
+
+def _matched_chunks(field, coeffs, hbar=1.0, f_theta=0.0, theta=0.0, dt=None,
+                    steps=DEFAULT_STEPS, eta_scale=1.0):
+    """simulate_matched as a stream: (MatchResult, dt as a float, chunks).
+
+    Every check runs before this returns.  ``chunks`` then yields
+    (times, states, nc_states) for CSV_CHUNK rows at a time, so nothing
+    held grows with ``steps``.
+    """
+    match = field_to_deformation(field, f_theta, hbar, theta)
+    if dt is None:
+        dt = period(field) / DEFAULT_STEPS if field.b_z != 0.0 else 1.0 / DEFAULT_STEPS
+
+    x, y, px, py = commutative_closed_form(coeffs, field, 0.0)
+    z0 = np.array([float(x), float(y), float(px), float(py)])
+    comm = _linear_chunks(
+        magnetic_hamiltonian(field), DeformationParams.commutative(2, hbar), z0, dt, steps
+    )
+
+    nc_params = DeformationParams(
+        2, antisymmetric_2d(theta), antisymmetric_2d(match.eta * eta_scale), hbar
+    )
+    zhat0 = maps_2d(match.params2d).apply(z0)
+    nc = _linear_chunks(free_hamiltonian(field.m_p), nc_params, zhat0, dt, steps)
+    dt = float(dt)
+    chunks = ((np.arange(start, start + len(states)) * dt, states, nc_states)
+              for start, states, nc_states in zip(range(0, int(steps) + 1, CSV_CHUNK), comm, nc))
+    return match, dt, chunks
 
 
 def simulate_matched(field, coeffs, hbar=1.0, f_theta=0.0, theta=0.0, dt=None, steps=DEFAULT_STEPS,
@@ -459,22 +517,9 @@ def simulate_matched(field, coeffs, hbar=1.0, f_theta=0.0, theta=0.0, dt=None, s
     b_z = 0) whatever ``steps`` is, so ``steps`` steps cover
     steps / DEFAULT_STEPS of a period.
     """
-    match = field_to_deformation(field, f_theta, hbar, theta)
-    if dt is None:
-        dt = period(field) / DEFAULT_STEPS if field.b_z != 0.0 else 1.0 / DEFAULT_STEPS
-
-    x, y, px, py = commutative_closed_form(coeffs, field, 0.0)
-    z0 = np.array([float(x), float(y), float(px), float(py)])
-    comm = evolve_linear(
-        magnetic_hamiltonian(field), DeformationParams.commutative(2, hbar), z0, dt, steps
-    )
-
-    nc_params = DeformationParams(
-        2, antisymmetric_2d(theta), antisymmetric_2d(match.eta * eta_scale), hbar
-    )
-    zhat0 = maps_2d(match.params2d).apply(z0)
-    nc = evolve_linear(free_hamiltonian(field.m_p), nc_params, zhat0, dt, steps)
-    return Trajectory(times=comm.times, states=comm.states, nc_states=nc.states), match
+    match, _, chunks = _matched_chunks(field, coeffs, hbar, f_theta, theta, dt, steps, eta_scale)
+    times, states, nc_states = (np.concatenate(cols) for cols in zip(*chunks))
+    return Trajectory(times=times, states=states, nc_states=nc_states), match
 
 
 @dataclass(frozen=True)
@@ -504,6 +549,33 @@ def extract_rotation_frequency(times, px, py):
     return float((phase[-1] - phase[0]) / (times[-1] - times[0]))
 
 
+class _UnwrappedPhase:
+    """The first and last entries of np.unwrap(p), p fed a chunk at a time,
+    bit for bit: each chunk's first difference is taken from the previous
+    chunk's last phase, and the correction sum carried so far leads the
+    chunk's cumsum, so the sum stays sequential, as np.unwrap's is."""
+
+    def __init__(self):
+        self.first = self.last = None
+        self.carry = 0.0
+
+    def add(self, p):
+        if self.first is None:
+            self.first = self.last = p[0]
+        dd = np.diff(p, prepend=self.last)
+        # np.unwrap's arithmetic at its default period 2 pi
+        ddmod = np.mod(dd + np.pi, 2 * np.pi) - np.pi
+        np.copyto(ddmod, np.pi, where=(ddmod == -np.pi) & (dd > 0))
+        correction = ddmod - dd
+        np.copyto(correction, 0, where=np.abs(dd) < np.pi)
+        self.carry = np.cumsum(np.concatenate(([self.carry], correction)))[-1]
+        self.last = p[-1]
+
+    def span(self):
+        """unwrapped[-1] - unwrapped[0]."""
+        return (self.last + self.carry) - self.first
+
+
 def equivalence_check(field, coeffs, n_samples=64, tol=1e-8, hbar=1.0, f_theta=0.0,
                       theta=0.0, dt=None, steps=DEFAULT_STEPS, eta_scale=1.0):
     """Cross-check the three routes to the deformed momenta.
@@ -515,35 +587,40 @@ def equivalence_check(field, coeffs, n_samples=64, tol=1e-8, hbar=1.0, f_theta=0
     means period / DEFAULT_STEPS whatever ``steps`` is, as in
     simulate_matched, so the span is one period only at the default
     step count.  At b_z = 0 the checks hold vacuously, and the report
-    says so with STATIC_FIELD_NOTE.
+    says so with STATIC_FIELD_NOTE.  The trajectory is reduced a chunk
+    at a time, to the values the whole-array reductions give.
     """
-    traj, match = simulate_matched(field, coeffs, hbar, f_theta, theta, dt, steps, eta_scale)
+    match, _, chunks = _matched_chunks(field, coeffs, hbar, f_theta, theta, dt, steps, eta_scale)
     notes = [STATIC_FIELD_NOTE] if field.b_z == 0.0 else []
 
-    ts = np.linspace(traj.times[0], traj.times[-1], n_samples)
+    # largest |pxhat - closed|, |pyhat - closed|, |z - closed| and |closed|,
+    # and smallest |phat|; np.maximum and np.minimum carry a NaN as .max() does
+    top, low = np.full(4, -np.inf), np.inf
+    phase = _UnwrappedPhase()
+    for times, states, nc_states in chunks:
+        pxh_c, pyh_c = nc_closed_form(coeffs, field, times)
+        closed = np.stack(commutative_closed_form(coeffs, field, times), axis=1)
+        top = np.maximum(top, [np.abs(nc_states[:, 2] - pxh_c).max(),
+                               np.abs(nc_states[:, 3] - pyh_c).max(),
+                               np.abs(states - closed).max(), np.abs(closed).max()])
+        low = np.minimum(low, np.hypot(nc_states[:, 2], nc_states[:, 3]).min())
+        with np.errstate(all="ignore"):  # read only where every |phat| > 1e-12
+            phase.add(np.arctan2(nc_states[:, 3], nc_states[:, 2]))
+    t_end = times[-1]  # the first time is 0
+
+    ts = np.linspace(0.0, t_end, n_samples)
     pxh, pyh = nc_closed_form(coeffs, field, ts)
     vx, vy = velocity_closed_form(coeffs, ts)
     amp = max(1.0, float(np.hypot(pxh, pyh).max()))
     dev_velocity = float(
         max(np.abs(pxh - field.m_p * vx).max(), np.abs(pyh - field.m_p * vy).max())
     )
-
-    pxh_c, pyh_c = nc_closed_form(coeffs, field, traj.times)
-    dev_nc = float(
-        max(np.abs(traj.nc_states[:, 2] - pxh_c).max(), np.abs(traj.nc_states[:, 3] - pyh_c).max())
-    )
-    xc, yc, pxc, pyc = commutative_closed_form(coeffs, field, traj.times)
-    closed = np.stack([xc, yc, pxc, pyc], axis=1)
-    scale_z = max(1.0, float(np.abs(closed).max()))
-    dev_comm = float(np.abs(traj.states - closed).max())
+    dev_nc = float(max(top[0], top[1]))
+    dev_comm = float(top[2])
+    scale_z = max(1.0, float(top[3]))
 
     omega_expected = match.eta * eta_scale / (field.m_p * hbar)
-    if np.hypot(traj.nc_states[:, 2], traj.nc_states[:, 3]).min() > 1e-12:
-        omega_extracted = extract_rotation_frequency(
-            traj.times, traj.nc_states[:, 2], traj.nc_states[:, 3]
-        )
-    else:
-        omega_extracted = 0.0
+    omega_extracted = float(phase.span() / t_end) if low > 1e-12 else 0.0
     freq_ok = abs(abs(omega_extracted) - abs(omega_expected)) <= 1e-6 * max(1.0, abs(omega_expected))
     if omega_expected != 0.0:
         doubled = 2.0 * omega_expected
@@ -629,16 +706,14 @@ def approach_two_ftheta(u, c_minus):
 # Trajectory CSV (write-only interface).
 
 CSV_HEADER = "t,x,y,px,py,xhat,yhat,pxhat,pyhat"
-# rows per tolist() call: the writer's memory is one chunk, whatever the step count
-CSV_CHUNK = 8192
 
 
 def trajectory_to_csv(traj, fh):
     """Write a trajectory with both column sets to the open text file
     ``fh`` as CSV, each value its float repr (the shortest decimal that
-    round-trips), a chunk of rows at a time."""
+    round-trips), a chunk of rows at a time.  ``traj`` is a Trajectory
+    or an iterable of (times, states, nc_states) chunks."""
     fh.write(CSV_HEADER + "\n")
-    for start in range(0, traj.times.size, CSV_CHUNK):
-        rows = slice(start, start + CSV_CHUNK)
-        chunk = np.column_stack([traj.times[rows], traj.states[rows], traj.nc_states[rows]])
+    for times, states, nc_states in traj.chunks() if isinstance(traj, Trajectory) else traj:
+        chunk = np.column_stack([times, states, nc_states])
         fh.writelines(",".join(map(repr, row)) + "\n" for row in chunk.tolist())

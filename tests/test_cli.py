@@ -1,12 +1,16 @@
 """End-to-end CLI runs through subprocess: exit codes, schemas, determinism."""
 import argparse
+import functools
 import json
+import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import trajectory_oracle
 from csv_oracle import trajectory_csv
 from ncphase import cli, nc2d
 from ncphase.algebra import DeformationParams, map_to_json, params_to_json, sw_map
@@ -317,16 +321,128 @@ def test_simulate_csv_matches_the_per_value_oracle(steps, scenario, tmp_path):
     assert out.read_text() == trajectory_csv(traj)
 
 
-@pytest.mark.parametrize("dt", ["nan", "0", "-0.01", "inf"])
+@pytest.mark.parametrize("dt", ["nan", "0", "-0.01", "inf", "10"])
 def test_simulate_step_must_be_positive_and_finite(dt, scenario, tmp_path):
     # --dt nan used to pass and write rows of nan; 0 and -0.01 failed only
-    # through the trajectory's increasing-times check
+    # through the trajectory's increasing-times check; 10 fails the RK4
+    # guard, which the streamed trajectory checks before the file opens
     out = tmp_path / "traj.csv"
     r = run_cli("simulate", "--scenario", str(scenario), "--out", str(out), "--dt", dt, "--json")
     assert r.returncode == 2, r.stdout
-    doc = strict_loads(r.stdout)
-    assert doc["errata_notes"] == [f"ValueError: dt must be positive and finite, got {float(dt)!r}"]
+    (note,) = strict_loads(r.stdout)["errata_notes"]
+    if dt == "10":
+        assert note.startswith("StabilityError: dt*rho(K) = ")
+    else:
+        assert note == f"ValueError: dt must be positive and finite, got {float(dt)!r}"
     assert not out.exists()
+
+
+STATIC_SCENARIO = {"field": {"alpha_x": 1.0, "alpha_y": 1.0, "beta_x": 1.0, "beta_y": 1.0},
+                   "coeffs": {"x1": 0.05, "x2": 0.05, "x3": 1.0, "y3": 0.5}}
+
+
+def wrap_at_chunk_boundary(doc):
+    """``doc`` with the dt at which the phase of (pxhat, pyhat) wraps
+    between rows CSV_CHUNK - 1 and CSV_CHUNK, the first difference the
+    second chunk takes from the first."""
+    field = FieldConfig(**doc["field"])
+    coeffs = ClosedFormCoeffs.for_field(field, **doc["coeffs"])
+    traj, match = trajectory_oracle.simulate_matched(field, coeffs, **doc["params"], steps=1)
+    phi0 = math.atan2(traj.nc_states[0, 3], traj.nc_states[0, 2])
+    rate = -match.omega_nc  # (pxhat, pyhat) turns by -omega_nc t
+    t_wrap = (math.copysign(math.pi, rate) - phi0) / rate
+    return dict(doc, dt=t_wrap / (CSV_CHUNK - 0.5))
+
+
+def scenario_doc(name, scenario):
+    doc = json.loads(scenario.read_text())
+    return {"field": doc, "static": STATIC_SCENARIO, "wrap": wrap_at_chunk_boundary(doc)}[name]
+
+
+def test_the_wrap_scenario_wraps_at_the_chunk_boundary(scenario):
+    doc = scenario_doc("wrap", scenario)
+    field = FieldConfig(**doc["field"])
+    traj, _ = trajectory_oracle.simulate_matched(
+        field, ClosedFormCoeffs.for_field(field, **doc["coeffs"]), **doc["params"], dt=doc["dt"],
+        steps=2 * CSV_CHUNK + 1)
+    jumps = np.abs(np.diff(np.arctan2(traj.nc_states[:, 3], traj.nc_states[:, 2]))) > math.pi
+    assert np.flatnonzero(jumps).tolist() == [CSV_CHUNK - 1]
+
+
+def both_sinks(argv, capsys):
+    """(exit code, stdout) of ``argv`` as text and with --json."""
+    return [run_in_process(argv + sink, capsys) for sink in ([], ["--json"])]
+
+
+BOUNDARY_STEPS = [1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 2 * CSV_CHUNK + 1]
+
+
+@pytest.mark.parametrize("name", ["field", "static", "wrap"])
+@pytest.mark.parametrize("steps", BOUNDARY_STEPS)
+def test_simulate_matches_the_whole_array_oracle(steps, name, scenario, tmp_path, monkeypatch,
+                                                 capsys):
+    path, out = tmp_path / "doc.json", tmp_path / "traj.csv"
+    path.write_text(json.dumps(scenario_doc(name, scenario)))
+    argv = ["simulate", "--scenario", str(path), "--out", str(out), "--steps", str(steps)]
+    streamed = both_sinks(argv, capsys)
+    csv = out.read_bytes()
+    out.unlink()
+    monkeypatch.setattr(cli, "_matched_chunks",
+                        functools.lru_cache()(trajectory_oracle.matched_chunks))
+    assert streamed == both_sinks(argv, capsys)
+    assert streamed[0][0] == 0
+    assert csv == out.read_bytes()
+
+
+@pytest.mark.parametrize("name, flags, code", [
+    ("field", [], 0), ("static", [], 0), ("wrap", [], 0), ("field", ["--eta-scale", "2"], 1),
+], ids=["field", "static", "wrap", "eta-scale-2"])
+@pytest.mark.parametrize("steps", BOUNDARY_STEPS)
+def test_equivalence_matches_the_whole_array_oracle(steps, name, flags, code, scenario, tmp_path,
+                                                    monkeypatch, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(scenario_doc(name, scenario), steps=steps)))
+    argv = ["equivalence", "--scenario", str(path), *flags]
+    monkeypatch.setattr(cli, "equivalence_check", functools.lru_cache()(cli.equivalence_check))
+    streamed = both_sinks(argv, capsys)
+    monkeypatch.setattr(cli, "equivalence_check",
+                        functools.lru_cache()(trajectory_oracle.equivalence_check))
+    assert streamed == both_sinks(argv, capsys)
+    assert [c for c, _ in streamed] == [code, code]
+    report = strict_loads(streamed[1][1])
+    if name == "static":
+        assert report["errata_notes"] == [STATIC_FIELD_NOTE]
+    if code == 1 and steps > 1:  # a wrong eta: deviations of the orbit's own size
+        assert report["metrics"]["integrated_nc_vs_closed_form"] > 1e-3
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("command", ["simulate", "equivalence"])
+def test_trajectory_memory_does_not_grow_with_steps(command, scenario, tmp_path):
+    # peak RSS of a fresh process at CSV_CHUNK and at 8 * CSV_CHUNK steps,
+    # as VmHWM: ru_maxrss keeps the peak of the address space before exec,
+    # here the test runner's; the mmap threshold keeps freed arrays from
+    # staying in malloc's heap
+    code = (
+        "import contextlib, io, sys\n"
+        "from ncphase import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(sys.argv[1:]) == 0\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "           if line.startswith('VmHWM:')))\n"
+    )
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072")
+    peaks = []
+    for steps in (CSV_CHUNK, 8 * CSV_CHUNK):
+        path = tmp_path / f"s{steps}.json"
+        path.write_text(json.dumps(dict(json.loads(scenario.read_text()), steps=steps)))
+        argv = [command, "--scenario", str(path)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "traj.csv")]
+        r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                           env=env, check=True)
+        peaks.append(int(r.stdout) / 1024)  # kB -> MB
+    assert peaks[1] - peaks[0] < 2.0, peaks
 
 
 def test_equivalence_nan_step_is_an_input_error(scenario, tmp_path):
@@ -367,6 +483,41 @@ def test_scenario_fields_have_their_types(command, field, value, note, scenario,
     assert code == 2
     assert strict_loads(capsys.readouterr().out)["errata_notes"] == [f"ValueError: {note}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "equivalence"])
+@pytest.mark.parametrize("doc, note", [
+    ([1, 2], "scenario is not a JSON object"),
+    ("field", "scenario is not a JSON object"),
+    (None, "scenario is not a JSON object"),
+    ({"coeffs": {"x1": 0.5}}, "scenario has no 'field' section"),
+], ids=["list", "string", "null", "no-field"])
+def test_scenario_is_an_object_with_a_field_section(command, doc, note, tmp_path, capsys):
+    # exit 2 already, but [1, 2] said "TypeError: list indices must be
+    # integers or slices, not str" and a missing field "KeyError: 'field'"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "traj.csv"
+    argv = [command, "--scenario", str(bad), "--json"]
+    code = cli.run(argv + (["--out", str(out)] if command == "simulate" else []))
+    assert code == 2
+    assert strict_loads(capsys.readouterr().out)["errata_notes"] == [f"ValueError: {note}"]
+    assert not out.exists()
+
+
+def test_memory_error_is_an_input_error(scenario, monkeypatch, capsys):
+    # an input too large to hold, such as equivalence --samples 2000000000,
+    # ended in a MemoryError traceback with exit 1
+    def too_large(args):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array with shape (2000000000,)")
+
+    monkeypatch.setitem(cli._HANDLERS, "equivalence", too_large)
+    argv = ["equivalence", "--scenario", str(scenario), "--samples", "2000000000"]
+    code, out = run_in_process(argv + ["--json"], capsys)
+    assert code == 2
+    assert strict_loads(out)["errata_notes"] == [
+        "MemoryError: Unable to allocate 14.9 GiB for an array with shape (2000000000,)"]
+    assert run_in_process(argv, capsys)[0] == 2
 
 
 @pytest.mark.parametrize("command", ["simulate", "equivalence"])

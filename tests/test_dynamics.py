@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import trajectory_oracle
 from csv_oracle import trajectory_csv
 
+from ncphase import dynamics
 from ncphase.dynamics import (
     CSV_CHUNK,
     ClosedFormCoeffs,
@@ -351,6 +353,64 @@ def test_rk4_steps_are_one_affine_map():
     loop = rk4_trajectory(gen, drift, z0, dt, 100)
     assert loop.shape == expected.shape
     assert np.abs(loop - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def bits(a):
+    return np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("steps", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
+                                   2 * CSV_CHUNK + 1])
+def test_chunked_rk4_is_the_whole_array_loop_bit_for_bit(steps):
+    # the state carried from chunk to chunk takes every step the one loop took
+    rng = np.random.default_rng(steps)
+    sym = rng.uniform(-1.0, 1.0, (4, 4))
+    gen = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]]) @ (sym + sym.T)
+    drift, z0 = rng.uniform(-0.5, 0.5, 4), rng.uniform(-1.0, 1.0, 4)
+    assert bits(rk4_trajectory(gen, drift, z0, 1e-3, steps)) == bits(
+        trajectory_oracle.rk4_trajectory(gen, drift, z0, 1e-3, steps))
+
+
+@pytest.mark.parametrize("steps", [1, CSV_CHUNK, 2 * CSV_CHUNK + 1])
+def test_simulate_matched_is_the_whole_array_path_bit_for_bit(steps):
+    cf = coeffs_for(MATCH_FIELD)
+    traj, match = simulate_matched(MATCH_FIELD, cf, hbar=1.5, theta=0.25, steps=steps)
+    want, want_match = trajectory_oracle.simulate_matched(MATCH_FIELD, cf, hbar=1.5, theta=0.25,
+                                                          steps=steps)
+    assert match == want_match
+    for got, ref in ((traj.times, want.times), (traj.states, want.states),
+                     (traj.nc_states, want.nc_states)):
+        assert bits(got) == bits(ref)
+
+
+def unwrap_span_in_chunks(p, sizes):
+    phase = dynamics._UnwrappedPhase()
+    start = 0
+    for size in sizes:
+        phase.add(p[start:start + size])
+        start += size
+    assert start == p.size
+    return phase.span()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_chunked_unwrap_is_np_unwrap_bit_for_bit(seed):
+    # phases of a walk with steps of -0.3 pi to 1.3 pi, so many wrap and
+    # the correction sum grows to where its rounding depends on the order
+    # of the additions, some steps exactly +-pi (np.unwrap's ambiguous
+    # boundary), and chunks of 1 to 40 values, so wraps fall on chunk
+    # boundaries
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.uniform(-0.3, 1.3, 400) * np.pi)
+    p = np.angle(np.exp(1j * walk))
+    p[rng.choice(399, 20, replace=False) + 1] = np.pi
+    p[rng.choice(399, 20, replace=False) + 1] = 0.0
+    want = np.unwrap(p)
+    sizes = []
+    while sum(sizes) < p.size:
+        sizes.append(int(min(rng.integers(1, 41), p.size - sum(sizes))))
+    assert bits(unwrap_span_in_chunks(p, sizes)) == bits(want[-1] - want[0])
+    assert bits(unwrap_span_in_chunks(p, [p.size])) == bits(want[-1] - want[0])
 
 
 @pytest.mark.parametrize("name", ["alpha_x", "alpha_y", "beta_x", "beta_y", "e", "c", "m_p"])
